@@ -2,7 +2,7 @@
 // queue enqueue/dequeue, copy-ring push/pop, NT vs cached copy, KNEM command
 // issue, CMA vs direct read — plus one end-to-end eager pingpong through
 // World's standard bring-up. Shared geometry (queue cells, ring buffers)
-// comes from the same tuned table the World applies, so the rows reflect
+// comes from the Config defaults the World applies, so the rows reflect
 // shipped defaults rather than hardcoded seed values.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -19,27 +19,11 @@
 #include "shm/nemesis_queue.hpp"
 #include "shm/nt_copy.hpp"
 #include "shm/remote_mem.hpp"
-#include "tune/tuning.hpp"
 
 namespace {
 
 using namespace nemo;
 using namespace nemo::shm;
-
-/// The tuned table a World constructed on this host would apply (env
-/// overrides included) — detected once, shared by every benchmark.
-const tune::TuningTable& shipped_tuning() {
-  static tune::TuningTable t = tune::effective_table(detect_host());
-  return t;
-}
-
-/// Ring geometry the way the World resolves it: the tuned per-placement
-/// value when calibrated, else the Config default.
-std::uint32_t shipped_ring_bufs() {
-  std::uint32_t v =
-      shipped_tuning().for_placement(PairPlacement::kSharedCache).ring_bufs;
-  return v != 0 ? v : core::Config{}.ring_bufs;
-}
 
 void BM_QueueEnqueueDequeue(benchmark::State& state) {
   Arena arena = Arena::create_anonymous(16 * MiB);
@@ -59,7 +43,7 @@ void BM_RingPushPop(benchmark::State& state) {
   auto chunk = static_cast<std::size_t>(state.range(0));
   Arena arena = Arena::create_anonymous(16 * MiB);
   std::uint64_t off = CopyRing::create(
-      arena, shipped_ring_bufs(), static_cast<std::uint32_t>(chunk));
+      arena, core::Config{}.ring_bufs, static_cast<std::uint32_t>(chunk));
   CopyRing ring(arena, off);
   std::vector<std::byte> src(chunk), dst(chunk);
   std::uint64_t sc = 0, rc = 0;

@@ -3,12 +3,10 @@
 // Grown from lmt_tuner (which only *prints* the formula policy): this tool
 // *measures* — per placement class it locates the NT-copy crossover, the
 // eager/rendezvous activation point, and (with --bench) the fastest
-// rendezvous backend via real pingpongs; a telemetry feedback pass then
-// runs short alltoall probes at 4/8 ranks and reacts to the congestion
-// counters (drain budget, ring depth, fastbox pressure, polling order) —
-// then writes the TuningTable to the topology-fingerprinted cache file that
-// every nemo entry point loads at startup. Calibration costs once per
-// machine:
+// rendezvous backend via real pingpongs, plus the shm-collective crossover
+// and the fastest reduction kernel — then writes the TuningTable to the
+// topology-fingerprinted cache file that every nemo entry point loads at
+// startup. Calibration costs once per machine:
 //
 //   build/nemo-tune                 # calibrate + write cache (or reuse it)
 //   build/nemo-tune --force         # recalibrate even with a valid cache
@@ -19,6 +17,7 @@
 #include "../bench/bench_common.hpp"
 #include "coll/coll.hpp"
 #include "common/options.hpp"
+#include "shm/fastbox.hpp"
 #include "shm/numa.hpp"
 #include "tune/calibrate.hpp"
 #include "tune/tuning.hpp"
@@ -35,31 +34,20 @@ void print_table(const tune::TuningTable& t) {
                                        PairPlacement::kDifferentSockets};
   for (PairPlacement p : kAll) {
     const tune::PlacementTuning& pt = t.for_placement(p);
-    char ring[32];
-    if (pt.ring_bufs == 0 && pt.ring_buf_bytes == 0)
-      std::snprintf(ring, sizeof ring, "inherit");
-    else
-      std::snprintf(ring, sizeof ring, "%ux%s",
-                    pt.ring_bufs != 0 ? pt.ring_bufs : 0,
-                    pt.ring_buf_bytes != 0
-                        ? format_size(pt.ring_buf_bytes).c_str()
-                        : "cfg");
     std::printf(
-        "  %-22s nt_min=%-8s push_nt=%d activation=%-8s backend=%-8s "
-        "ring=%s\n",
+        "  %-22s nt_min=%-8s push_nt=%d activation=%-8s backend=%s\n",
         to_string(p),
         pt.nt_min == SIZE_MAX ? "never" : format_size(pt.nt_min).c_str(),
         pt.push_nt ? 1 : 0, format_size(pt.lmt_activation).c_str(),
-        tune::to_string(pt.backend), ring);
+        tune::to_string(pt.backend));
   }
   std::printf("  dma_min=%s collective_activation=%s\n",
               t.dma_min == 0 ? "formula" : format_size(t.dma_min).c_str(),
               format_size(t.collective_activation).c_str());
-  std::printf("  fastbox: %u slots x %s (cutoff %s)   drain_budget=%u   "
-              "poll_hot=%d\n",
-              t.fastbox_slots, format_size(t.fastbox_slot_bytes).c_str(),
-              format_size(t.fastbox_max).c_str(), t.drain_budget,
-              t.poll_hot ? 1 : 0);
+  std::printf("  fastbox: %u slots x %s (cutoff %s)\n",
+              shm::Fastbox::kDefaultSlots,
+              format_size(shm::Fastbox::slot_bytes_for(t.fastbox_max)).c_str(),
+              format_size(t.fastbox_max).c_str());
   std::printf("  coll: activation=%-8s slot=%s   (NEMO_COLL=%s)\n",
               format_size(t.coll_activation).c_str(),
               format_size(t.coll_slot_bytes).c_str(),
@@ -154,14 +142,14 @@ void bench_backends(tune::TuningTable& t, const Topology& topo, int iters) {
 /// authoritative list (the runtime reads knobs only through this registry,
 /// so a knob missing here cannot exist).
 void print_knobs() {
-  std::printf("%-28s %-6s %-10s %-9s %s\n", "knob", "type", "default",
+  std::printf("%-28s %-6s %-18s %-9s %s\n", "knob", "type", "default",
               "owner", "meaning");
   for (const KnobInfo& k : nemo::Config::knobs()) {
     const char* type = k.type == KnobType::kFlag   ? "flag"
                        : k.type == KnobType::kInt  ? "int"
                        : k.type == KnobType::kSize ? "size"
                                                    : "string";
-    std::printf("%-28s %-6s %-10s %-9s %s\n", k.name, type, k.def,
+    std::printf("%-28s %-6s %-18s %-9s %s\n", k.name, type, k.def,
                 k.read_by, k.meaning);
     if (auto v = nemo::Config::str(k.name))
       std::printf("%-28s %-6s   set: %s\n", "", "", v->c_str());
@@ -179,7 +167,6 @@ int main(int argc, char** argv) {
   opt.declare("bench", "also pingpong-race the backends per placement");
   opt.declare("iters", "pingpong iterations for --bench (default 10)");
   opt.declare("quick", "fewer repeats per probe (noisier, faster)");
-  opt.declare("no-feedback", "skip the telemetry feedback pass");
   opt.declare("knobs", "list every NEMO_* environment knob and exit");
   opt.finalize();
 
@@ -224,7 +211,6 @@ int main(int argc, char** argv) {
   tune::CalibrationOptions copt;
   copt.verbose = true;
   if (opt.get_flag("quick")) copt.repeats = 1;
-  copt.feedback = !opt.get_flag("no-feedback");
   tune::TuningTable t = tune::calibrate(topo, copt);
 
   if (opt.get_flag("bench")) {

@@ -107,37 +107,29 @@ bool env_flag(const char* name, bool def) {
 const std::vector<KnobInfo>& Config::knobs() {
   static const std::vector<KnobInfo> table = {
       {"NEMO_BACKEND", KnobType::kString, "tuned",
-       "tune", "force the calibrated LMT backend (shm|vmsplice|writev|cma)"},
+       "tune", "preferred rendezvous backend: default|vmsplice|knem|cma"},
       {"NEMO_BARRIER_TREE", KnobType::kString, "tuned",
        "coll", "tree barrier: off, on, or min ranks to switch to the tree"},
-      {"NEMO_CMA", KnobType::kString, "auto",
-       "lmt", "cross-memory attach: auto|on|off (nosyscall simulates EPERM)"},
+      {"NEMO_CMA", KnobType::kString, "on",
+       "lmt", "cross-memory attach: on|off (nosyscall simulates EPERM)"},
       {"NEMO_COLL", KnobType::kString, "auto",
        "coll", "collective algorithm family: auto|shm|p2p"},
       {"NEMO_COLL_ACTIVATION", KnobType::kSize, "tuned",
        "coll", "min payload bytes before collectives use the shm arena"},
       {"NEMO_COLL_HIER", KnobType::kString, "tuned",
        "coll", "hierarchical collectives: off, on, or min synthetic nodes"},
-      {"NEMO_COLL_LEADER", KnobType::kInt, "numa-chosen",
+      {"NEMO_COLL_LEADER", KnobType::kInt, "NUMA-derived",
        "coll", "force the collective leader rank"},
       {"NEMO_COLL_SLOT_BYTES", KnobType::kSize, "tuned",
        "coll", "per-rank payload slot bytes in the collective arena"},
-      {"NEMO_DMA_MIN", KnobType::kSize, "tuned",
-       "sim", "min bytes before the simulator models DMA engines"},
-      {"NEMO_DRAIN_BUDGET", KnobType::kInt, "tuned",
-       "core", "max queue cells drained per progress() pass"},
+      {"NEMO_DMA_MIN", KnobType::kSize, "formula",
+       "lmt", "min bytes before KNEM offloads copies to DMA"},
       {"NEMO_FASTBOX", KnobType::kFlag, "1",
-       "shm", "enable the per-pair single-slot fastbox path"},
+       "shm", "enable the per-pair fastbox rings"},
       {"NEMO_FASTBOX_MAX", KnobType::kSize, "tuned",
        "shm", "max payload bytes eligible for the fastbox"},
-      {"NEMO_FASTBOX_SLOTS", KnobType::kInt, "tuned",
-       "shm", "slots per fastbox (depth of the SPSC pipeline)"},
-      {"NEMO_FASTBOX_SLOT_BYTES", KnobType::kSize, "tuned",
-       "shm", "bytes per fastbox slot (header + payload)"},
       {"NEMO_FAULT", KnobType::kString, "unset",
        "resil", "fault injection: <rank>:<site>:kill"},
-      {"NEMO_FEEDBACK", KnobType::kFlag, "1",
-       "tune", "enable runtime feedback nudges to the tuning table"},
       {"NEMO_LMT", KnobType::kString, "auto",
        "lmt", "large-message backend: auto|shm|vmsplice|writev|knem|cma"},
       {"NEMO_LMT_ACTIVATION", KnobType::kSize, "tuned",
@@ -153,33 +145,32 @@ const std::vector<KnobInfo>& Config::knobs() {
       {"NEMO_NUMA", KnobType::kFlag, "1",
        "shm", "enable NUMA-aware placement of shared structures"},
       {"NEMO_NUMA_PLACEMENT", KnobType::kString, "auto",
-       "shm", "ring placement policy: auto|receiver|sender|first-touch"},
+       "shm",
+       "ring placement policy: auto|receiver|sender|interleave|first-touch"},
       {"NEMO_ON_PEER_DEATH", KnobType::kString, "abort",
        "resil", "peer-death policy: abort|degrade"},
       {"NEMO_PACK_NT_MIN", KnobType::kSize, "tuned",
        "core", "min bytes before datatype pack uses non-temporal stores"},
-      {"NEMO_PEER_TIMEOUT_MS", KnobType::kSize, "2000",
+      {"NEMO_PEER_TIMEOUT_MS", KnobType::kSize, "30000",
        "resil", "bounded-wait verdict timeout in ms; off disarms"},
-      {"NEMO_POLL_HOT", KnobType::kFlag, "tuned",
-       "core", "reorder fastbox polling by observed traffic"},
-      {"NEMO_RING_BUFS", KnobType::kInt, "tuned",
+      {"NEMO_RING_BUFS", KnobType::kInt, "4",
        "shm", "copy-ring buffers per pair"},
-      {"NEMO_RING_BUF_BYTES", KnobType::kSize, "tuned",
+      {"NEMO_RING_BUF_BYTES", KnobType::kSize, "32KiB",
        "shm", "bytes per copy-ring buffer"},
       {"NEMO_SIMD", KnobType::kString, "auto",
-       "simd", "reduction kernel: auto|scalar|sse2|avx2|avx512"},
+       "simd", "reduction kernel: auto|scalar|avx2|avx512"},
       {"NEMO_TRACE", KnobType::kString, "off",
        "trace", "tracing mode: off|rings|full"},
       {"NEMO_TRACE_OUT", KnobType::kString, "unset",
        "trace", "write a nemo-trace/1 dump to this path at exit"},
-      {"NEMO_TRACE_RING_SLOTS", KnobType::kInt, "4096",
+      {"NEMO_TRACE_RING_SLOTS", KnobType::kInt, "8192",
        "trace", "per-rank trace ring capacity in events"},
       {"NEMO_TRANSPORT", KnobType::kString, "auto",
        "transport", "transport: shm|modeled (auto: modeled iff NEMO_NODES>1)"},
       {"NEMO_TUNE", KnobType::kFlag, "1",
        "tune", "consult the fingerprinted tuning cache"},
-      {"NEMO_TUNE_CACHE", KnobType::kString, "~/.cache/nemo",
-       "tune", "override the tuning cache directory"},
+      {"NEMO_TUNE_CACHE", KnobType::kString, "fingerprinted path",
+       "tune", "tuning cache file"},
       {"NEMO_WORLD_MODE", KnobType::kString, "threads",
        "core", "rank launch mode: threads|procs"},
   };

@@ -28,8 +28,8 @@ inline int coll_tag(std::uint64_t coll_seq, int phase) {
 inline std::uint64_t epoch_base(std::uint64_t cs) { return (cs + 1) << 3; }
 
 /// Spin until `ready()` while keeping pt2pt progress flowing. Counts one
-/// epoch stall whenever the first probe missed (the telemetry the tuner
-/// reads as "readers arrive before writers publish"). Bounded: the liveness
+/// epoch stall whenever the first probe missed (telemetry for "readers
+/// arrive before writers publish"). Bounded: the liveness
 /// guard turns a dead peer into PeerDeadError (running the local epoch
 /// fence first) instead of spinning forever. `watch` is the specific rank
 /// the wait depends on, -1 when any peer could unblock it.
@@ -56,8 +56,8 @@ void spin_until(Engine& eng, resil::Site site, int watch, Pred&& ready) {
 
 /// spin_until without the stall telemetry — for waits that are not part of
 /// an arena op's data path (count probes, hierarchical legs): their misses
-/// must not feed the epoch-stall rate the feedback pass divides by
-/// coll_shm_ops.
+/// must not feed the epoch-stall-per-op telemetry (coll_epoch_stalls over
+/// coll_shm_ops).
 template <typename Pred>
 void spin_until_quiet(Engine& eng, resil::Site site, int watch,
                       Pred&& ready) {

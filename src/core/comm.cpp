@@ -44,21 +44,11 @@ bool classifiable(const Topology& topo, int a, int b) {
          a != b;
 }
 
-/// Per-pair ring geometry: the tuned placement row when it names one, else
-/// the world-wide Config/env value. Rows only apply when both cores are
-/// known (placement classification needs them).
-std::pair<std::uint32_t, std::uint32_t> ring_geometry(
-    const Config& cfg, const tune::TuningTable& tuning, const Topology& topo,
-    int score, int dcore) {
-  std::uint32_t bufs = cfg.ring_bufs;
-  std::uint32_t buf_bytes = cfg.ring_buf_bytes;
-  if (classifiable(topo, score, dcore)) {
-    const tune::PlacementTuning& row =
-        tuning.for_placement(topo.classify(score, dcore));
-    if (row.ring_bufs != 0) bufs = row.ring_bufs;
-    if (row.ring_buf_bytes != 0) buf_bytes = row.ring_buf_bytes;
-  }
-  return {bufs, buf_bytes};
+/// Bytes of one pair fastbox: kDefaultSlots slots sized to the tuned cutoff.
+std::size_t fastbox_bytes(const tune::TuningTable& tuning) {
+  return sizeof(shm::FastboxState) +
+         static_cast<std::size_t>(shm::Fastbox::kDefaultSlots) *
+             shm::Fastbox::slot_bytes_for(tuning.fastbox_max);
 }
 
 /// Per-rank collective slot capacity: programmatic Config beats the tuned /
@@ -79,23 +69,14 @@ std::size_t auto_arena_bytes(const Config& cfg,
   std::size_t per_rank = 2 * sizeof(shm::QueueState) +
                          cfg.cells_per_rank * sizeof(Cell) + 4 * KiB;
   std::size_t pairs = n * (n - 1);
-  // Size for the largest geometry any placement row could select, plus page
-  // slack for the NUMA-bindable page-aligned carving.
-  std::size_t max_bufs = cfg.ring_bufs;
-  std::size_t max_buf_bytes = cfg.ring_buf_bytes;
-  for (const auto& row : tuning.place) {
-    max_bufs = std::max<std::size_t>(max_bufs, row.ring_bufs);
-    max_buf_bytes = std::max<std::size_t>(max_buf_bytes, row.ring_buf_bytes);
-  }
+  // Page slack covers the NUMA-bindable page-aligned carving.
   std::size_t per_ring =
       sizeof(shm::CopyRingState) +
-      max_bufs * (sizeof(shm::CopyRingSlot) + max_buf_bytes) +
+      static_cast<std::size_t>(cfg.ring_bufs) *
+          (sizeof(shm::CopyRingSlot) + cfg.ring_buf_bytes) +
       4 * KiB + 2 * shm::Arena::kPageBytes;
   std::size_t per_fastbox =
-      sizeof(shm::FastboxState) +
-      static_cast<std::size_t>(tuning.fastbox_slots) *
-          tuning.fastbox_slot_bytes +
-      kCacheLine + 2 * shm::Arena::kPageBytes;
+      fastbox_bytes(tuning) + kCacheLine + 2 * shm::Arena::kPageBytes;
   std::size_t knem = sizeof(knem::DeviceState) +
                      256 * sizeof(knem::CookieSlot) +
                      256 * sizeof(knem::SegBlock) + 64 * KiB;
@@ -111,13 +92,17 @@ std::size_t auto_arena_bytes(const Config& cfg,
 /// Environment knobs override the programmatic Config so any entry point
 /// (tests, benches, applications) can be retuned without a rebuild.
 Config apply_env(Config cfg) {
-  long rb = nemo::Config::integer("NEMO_RING_BUFS", cfg.ring_bufs);
-  if (rb >= 1) cfg.ring_bufs = static_cast<std::uint32_t>(rb);
-  std::size_t rbb = nemo::Config::size("NEMO_RING_BUF_BYTES", cfg.ring_buf_bytes);
-  if (rbb != static_cast<std::size_t>(-1) && rbb >= kCacheLine) {
-    if (rbb > 1 * GiB)
+  if (nemo::Config::str("NEMO_RING_BUFS")) {
+    long rb = nemo::Config::integer("NEMO_RING_BUFS", 0);
+    if (rb < 1 || rb > 1024)
+      throw std::invalid_argument("NEMO_RING_BUFS: out of range (1..1024)");
+    cfg.ring_bufs = static_cast<std::uint32_t>(rb);
+  }
+  if (nemo::Config::str("NEMO_RING_BUF_BYTES")) {
+    std::size_t rbb = nemo::Config::size("NEMO_RING_BUF_BYTES", 0);
+    if (rbb < kCacheLine || rbb > 1 * GiB)
       throw std::invalid_argument(
-          "NEMO_RING_BUF_BYTES: too large (max 1GiB)");
+          "NEMO_RING_BUF_BYTES: out of range (64B..1GiB)");
     cfg.ring_buf_bytes =
         static_cast<std::uint32_t>(round_up(rbb, kCacheLine));
   }
@@ -235,8 +220,6 @@ World::World(Config cfg)
                             static_cast<std::size_t>(cfg_.nranks) +
                         static_cast<std::size_t>(d);
       int score = core_of(s), dcore = core_of(d);
-      auto [bufs, buf_bytes] = ring_geometry(cfg_, tuning_, topo_, score,
-                                             dcore);
       shm::RegionPlacement want =
           shm::choose_region_placement(numa_mode_, topo_, score, dcore);
       bool place = want.node >= 0 || want.interleave;
@@ -248,7 +231,8 @@ World::World(Config cfg)
       rp.interleaved = want.interleave;
 
       std::uint64_t ring_off =
-          shm::CopyRing::create(arena_, bufs, buf_bytes, place);
+          shm::CopyRing::create(arena_, cfg_.ring_bufs, cfg_.ring_buf_bytes,
+                                place);
       ring_offs_[idx] = ring_off;
       shm::CopyRing ring(arena_, ring_off);
       std::byte* data = arena_.at(ring.data_off());
@@ -260,12 +244,10 @@ World::World(Config cfg)
 
       if (cfg_.use_fastbox) {
         std::uint64_t fb_off = shm::Fastbox::create(
-            arena_, tuning_.fastbox_slots, tuning_.fastbox_slot_bytes, place);
+            arena_, shm::Fastbox::kDefaultSlots,
+            shm::Fastbox::slot_bytes_for(tuning_.fastbox_max), place);
         fastbox_offs_[idx] = fb_off;
-        std::size_t fb_bytes =
-            sizeof(shm::FastboxState) +
-            static_cast<std::size_t>(tuning_.fastbox_slots) *
-                tuning_.fastbox_slot_bytes;
+        std::size_t fb_bytes = fastbox_bytes(tuning_);
         if (want.node >= 0)
           shm::bind_to_node(arena_.at(fb_off), fb_bytes, want.node);
         else if (want.interleave)
@@ -351,9 +333,7 @@ void World::reattach_in_child() {
   // policies are per-address-space, so the parent's mbind calls do not
   // travel with the shm segment. Pages the owning rank has not yet
   // first-touched are placed by this process, per the recorded decision.
-  std::size_t fb_bytes = sizeof(shm::FastboxState) +
-                         static_cast<std::size_t>(tuning_.fastbox_slots) *
-                             tuning_.fastbox_slot_bytes;
+  std::size_t fb_bytes = fastbox_bytes(tuning_);
   for (int s = 0; s < cfg_.nranks; ++s)
     for (int d = 0; d < cfg_.nranks; ++d) {
       if (s == d) continue;
@@ -458,12 +438,7 @@ Engine::Engine(World& world, int rank)
   if (world.coll_off() != shm::kNil)
     coll_ = coll::WorldColl(world.arena(), world.coll_off());
   const tune::TuningTable& tuning = world.tuning();
-  fastbox_max_ =
-      std::min<std::size_t>(tuning.fastbox_max,
-                            tuning.fastbox_slot_bytes -
-                                shm::FastboxSlot::kHeaderBytes);
-  drain_budget_ = std::max<std::uint32_t>(1, tuning.drain_budget);
-  poll_hot_ = tuning.poll_hot;
+  fastbox_max_ = tuning.fastbox_max;
   barrier_tree_ranks_ = std::max<std::uint32_t>(2, tuning.barrier_tree_ranks);
   barrier_tree_k_ = std::max<std::uint32_t>(2, tuning.barrier_tree_k);
   // Fold kernel and pack threshold resolve once here: NEMO_SIMD already
@@ -489,7 +464,6 @@ Engine::Engine(World& world, int rank)
   peer_free_q_.reserve(static_cast<std::size_t>(n));
   fb_out_.resize(static_cast<std::size_t>(n));
   fb_in_.resize(static_cast<std::size_t>(n));
-  fb_hot_.assign(static_cast<std::size_t>(n), 0);
   for (int r = 0; r < n; ++r) {
     peer_recv_q_.emplace_back(world.arena(), world.recv_q_off(r));
     peer_free_q_.emplace_back(world.arena(), world.free_q_off(r));
@@ -964,7 +938,6 @@ bool Engine::poll_fastbox(int src) {
     return false;
   expected_seq_[static_cast<std::size_t>(src)]++;
   stats_.fastbox_recv++;
-  fb_hot_[static_cast<std::size_t>(src)]++;
   // Fastbox messages are always complete (len == total): deliver straight
   // from the slot, then return it to the sender.
   trace::Span sp(tracer_, trace::kFastboxPop, trace::Mode::kFull,
@@ -979,19 +952,6 @@ bool Engine::poll_fastbox(int src) {
 void Engine::poll_fastboxes() {
   if (!world_.use_fastbox()) return;
   for (int src : poll_order_) poll_fastbox(src);
-}
-
-void Engine::reorder_poll() {
-  // Hot peers first: under alltoall-style load at 8+ ranks most passes find
-  // only a few boxes full; scanning those first shortens the latency of the
-  // common case. Stable sort keeps rank order among equally-warm peers; the
-  // decay halves history so a peer that goes quiet drifts back.
-  std::stable_sort(poll_order_.begin(), poll_order_.end(),
-                   [&](int a, int b) {
-                     return fb_hot_[static_cast<std::size_t>(a)] >
-                            fb_hot_[static_cast<std::size_t>(b)];
-                   });
-  for (auto& h : fb_hot_) h >>= 1;
 }
 
 void Engine::sync_stream(int src, std::uint32_t seq) {
@@ -1202,7 +1162,7 @@ void Engine::progress() {
   // only becomes consumable once those cells are handled).
   poll_fastboxes();
   std::uint32_t drained = 0;
-  while (drained < drain_budget_) {
+  while (drained < kDrainBudget) {
     std::uint64_t off = recv_q_.dequeue();
     if (off == kNil) break;
     ++drained;
@@ -1210,16 +1170,15 @@ void Engine::progress() {
     handle_cell(cell);
     return_cell(cell);
   }
-  // Budget fully consumed = cells were likely left enqueued; the tuner
-  // reads this as "drain budget too small for this workload".
-  if (drained == drain_budget_) counters_.drain_exhausted++;
+  // Budget fully consumed = cells were likely left enqueued (telemetry:
+  // a sustained rate means the budget is too small for this workload).
+  if (drained == kDrainBudget) counters_.drain_exhausted++;
   counters_.progress_passes++;
   // Heartbeat: a rank that makes progress is alive. Every 64 passes keeps
   // the clock read off the hot path while staying far inside any sane
   // NEMO_PEER_TIMEOUT_MS (spin loops run progress() every 64 spins).
   if (live_.valid() && (counters_.progress_passes & 0x3F) == 0)
     live_.beat(rank_);
-  if (poll_hot_ && (counters_.progress_passes & 0x1FF) == 0) reorder_poll();
   poll_fastboxes();
 
   progress_sends();

@@ -72,8 +72,8 @@ struct Config {
   std::uint32_t ring_bufs = 4;
   std::uint32_t ring_buf_bytes = shm::CopyRing::kDefaultBufBytes;
 
-  /// Per-ordered-pair single-slot fastboxes for small eager messages
-  /// (bypasses the MPSC recv-queue enqueue). NEMO_FASTBOX=0 disables.
+  /// Per-ordered-pair fastbox rings for small eager messages (bypasses the
+  /// MPSC recv-queue enqueue). NEMO_FASTBOX=0 disables.
   bool use_fastbox = true;
 
   /// Minimum rendezvous size that switches the shm-copy ring to streaming
@@ -480,9 +480,6 @@ class Engine {
   bool poll_fastbox(int src);
   /// Drain every inbound fastbox that is ready and in order, in poll_order_.
   void poll_fastboxes();
-  /// Hot-peer-first: re-sort poll_order_ by recent fastbox traffic and decay
-  /// the per-peer counts (called periodically when tuning.poll_hot).
-  void reorder_poll();
   /// A queue cell from `src` carries `seq`; any earlier message still parked
   /// in the pair's fastbox must be delivered first to preserve sender order.
   void sync_stream(int src, std::uint32_t seq);
@@ -516,11 +513,9 @@ class Engine {
   std::vector<shm::QueueView> peer_free_q_;
   std::vector<shm::Fastbox> fb_out_;  ///< Indexed by destination rank.
   std::vector<shm::Fastbox> fb_in_;   ///< Indexed by source rank.
-  /// Fastbox poll order (all peers). Identity order unless tuning.poll_hot,
-  /// which re-sorts by fb_hot_ so hot peers are polled first.
+  /// Live peers whose inbound fastboxes poll_fastboxes() scans, in rank
+  /// order.
   std::vector<int> poll_order_;
-  std::vector<std::uint64_t> fb_hot_;  ///< Recent hits per source (decayed).
-  bool poll_hot_ = false;
 
   std::unique_ptr<shm::DmaEngine> dma_channel_;
   std::unique_ptr<shm::DmaEngine> kthread_channel_;
@@ -568,11 +563,12 @@ class Engine {
   std::uint32_t coll_hier_nodes_ = UINT32_MAX;  ///< Tuned hier threshold.
   simd::Kernel simd_kernel_ = simd::Kernel::kScalar;  ///< Resolved fold ISA.
   std::size_t pack_nt_min_ = SIZE_MAX;  ///< Tuned pack->NT-store cutoff.
-  /// Largest eager message routed through the pair fastboxes (tuned cutoff
-  /// clamped to the slot payload).
+  /// Largest eager message routed through the pair fastboxes (the tuned
+  /// cutoff; the World sized every slot to carry it).
   std::size_t fastbox_max_ = 0;
-  /// Recv-queue cells drained per progress() pass (tuned / env override).
-  std::uint32_t drain_budget_ = 256;
+  /// Recv-queue cells drained per progress() pass before yielding to the
+  /// send/recv state machines.
+  static constexpr std::uint32_t kDrainBudget = 256;
   bool in_progress_ = false;
   std::uint64_t coll_seq_ = 0;
 

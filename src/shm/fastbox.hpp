@@ -6,13 +6,14 @@
 // falls back to the queue; the engine merges the two streams back into
 // sender order using the per-pair message sequence carried in both.
 //
-// Geometry (slot count and slot size, hence the eager-routing cutoff) is
-// tunable: the tune subsystem picks it per machine, NEMO_FASTBOX_SLOTS /
-// NEMO_FASTBOX_SLOT_BYTES override. Per message only two cache lines move
-// in steady state (the slot's flag/header line and its payload); wpos/rpos
-// are single-owner words on separate lines, never shared.
+// Geometry: kDefaultSlots slots, each sized to the eager-routing cutoff
+// (tuning table fastbox_max, NEMO_FASTBOX_MAX) via slot_bytes_for(). Per
+// message only two cache lines move in steady state (the slot's flag/header
+// line and its payload); wpos/rpos are single-owner words on separate
+// lines, never shared.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -61,10 +62,17 @@ class Fastbox {
   static constexpr std::uint32_t kDefaultSlotBytes = 2 * KiB;
   /// Upper bound on slot size: eager cells stop paying off past 16 KiB.
   static constexpr std::uint32_t kMaxSlotBytes = 16 * KiB;
-  /// Payload capacity of the default geometry (compat constant for sizing
-  /// stack buffers; per-instance capacity is payload_capacity()).
-  static constexpr std::size_t kPayload =
-      kDefaultSlotBytes - FastboxSlot::kHeaderBytes;
+  /// Largest payload any slot can carry (the cutoff's upper bound).
+  static constexpr std::size_t kMaxPayload =
+      kMaxSlotBytes - FastboxSlot::kHeaderBytes;
+
+  /// Slot stride that carries `max_payload` bytes: header plus payload,
+  /// rounded up to a cache line (payload clamped to [1, kMaxPayload]).
+  static constexpr std::uint32_t slot_bytes_for(std::size_t max_payload) {
+    std::size_t payload = std::clamp<std::size_t>(max_payload, 1, kMaxPayload);
+    return static_cast<std::uint32_t>(
+        round_up(payload + FastboxSlot::kHeaderBytes, kCacheLine));
+  }
 
   /// With `page_align`, the whole box is carved as whole pages so the
   /// caller can mbind it (NUMA placement) without touching neighbours.

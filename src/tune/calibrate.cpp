@@ -7,8 +7,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/options.hpp"
 #include "common/timing.hpp"
+#include "shm/fastbox.hpp"
 #include "shm/nt_copy.hpp"
 #include "shm/process_runner.hpp"
 
@@ -259,11 +259,11 @@ TuningTable calibrate(const Topology& topo, const CalibrationOptions& opt) {
     t.collective_activation = min_act / 2;
 
   // Fastbox cutoff: every eager message below activation benefits from the
-  // queue bypass, up to the 16 KiB cell bound. Size slots to the cutoff.
+  // queue bypass, up to the 16 KiB cell bound. The World sizes the slots
+  // from the cutoff (shm::Fastbox::slot_bytes_for).
   std::size_t cutoff = std::clamp<std::size_t>(min_act, 2 * KiB, 16 * KiB);
-  t.fastbox_slot_bytes =
-      static_cast<std::uint32_t>(round_up(cutoff, 1 * KiB));
-  t.fastbox_max = t.fastbox_slot_bytes - 64;
+  t.fastbox_max =
+      round_up(cutoff, 1 * KiB) - shm::FastboxSlot::kHeaderBytes;
   shm::restore_affinity(saved);
 
   // The shm-vs-pt2pt collective crossover (bcast worlds, NEMO_COLL forced
@@ -291,14 +291,6 @@ TuningTable calibrate(const Topology& topo, const CalibrationOptions& opt) {
     }
   }
 
-  // Close the telemetry loop: the crossover probes above are pairwise; the
-  // feedback pass stresses every pair at once and reacts to the congestion
-  // counters (ring stalls, drain exhaustion, fastbox fallbacks).
-  if (opt.feedback && nemo::Config::flag("NEMO_FEEDBACK", true)) {
-    FeedbackOptions fopt;
-    fopt.verbose = opt.verbose;
-    t = calibrate_feedback(topo, std::move(t), fopt);
-  }
   return t;
 }
 

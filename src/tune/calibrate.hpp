@@ -46,10 +46,6 @@ struct CalibrationOptions {
   /// Pin probe threads to the placement's core pair (disable for tests on
   /// restricted hosts where sched_setaffinity may fail).
   bool pin = true;
-  /// Run the telemetry feedback pass after the crossover probes (short
-  /// alltoall worlds at feedback.rank_counts; see FeedbackOptions). Also
-  /// gated by NEMO_FEEDBACK (default on).
-  bool feedback = true;
   /// Measure the shm-vs-pt2pt collective crossover (short bcast worlds;
   /// skipped, keeping the formula default, when the host cannot run ranks
   /// in parallel).
@@ -62,80 +58,8 @@ struct CalibrationOptions {
 /// Measure this machine and return a table with source == "calibrated".
 /// Placement classes the topology does not expose keep their formula rows;
 /// measured rows replace them. Never throws on measurement trouble — a probe
-/// that cannot run leaves its formula value in place. With opt.feedback the
-/// crossover pass is followed by the counter-driven feedback pass below.
+/// that cannot run leaves its formula value in place.
 TuningTable calibrate(const Topology& topo, const CalibrationOptions& opt = {});
-
-// --- Telemetry feedback pass ------------------------------------------------
-//
-// PR2 built the telemetry (ring stalls, drain exhaustion, fastbox hit rate)
-// but only recorded it. This pass closes the loop: run a short alltoall
-// probe, read the aggregated tune::Counters back, and adjust the parts of
-// the table the crossover probes cannot see — drain budget, fastbox
-// geometry/polling order, and per-placement ring depth.
-
-struct Counters;  // tune/counters.hpp
-
-/// Thresholds and probe shape for the feedback pass.
-struct FeedbackOptions {
-  /// Rank counts to probe (alltoall stresses every pair at once; 4 and 8
-  /// cover the "few hot pairs" and "many pairs contending" regimes).
-  int rank_counts[2] = {4, 8};
-  int iters = 24;  ///< Alltoall rounds per probe world.
-  /// Per-pair rendezvous payload. Several ring laps (default ring capacity
-  /// is 4 x 32 KiB), so sender/receiver pipelining — and its failure mode,
-  /// ring stalls — actually shows up in the counters.
-  std::size_t rndv_bytes = 512 * KiB;
-  std::size_t eager_bytes = 512;     ///< Per-pair eager payload (same round).
-  bool verbose = false;
-
-  /// Ring depth a zero (inherit) placement row actually ran with during the
-  /// probe: the Config default, or NEMO_RING_BUFS when set. The stall
-  /// reaction doubles from here so the recorded depth can never be lower
-  /// than the one observed stalling. calibrate_feedback() resolves it from
-  /// the environment; override only in tests.
-  std::uint32_t inherited_ring_bufs = 4;
-
-  // Reaction thresholds, as rates over progress passes / attempts.
-  double stall_hi = 0.02;     ///< ring_stalls per progress pass.
-  double drain_hi = 0.05;     ///< drain_exhausted per progress pass.
-  double fallback_hi = 0.25;  ///< fastbox_fallbacks per fastbox attempt.
-  double fastbox_dominant = 0.5;  ///< Fastbox share of sends -> poll_hot.
-  /// coll_epoch_stalls per shm collective op. A high rate means the arena
-  /// ops spend their time parked on unpublished doorbells/acks — the
-  /// per-op synchronisation dominates the payload, so the crossover was
-  /// set too low; the reaction doubles coll_activation (cap 1 MiB).
-  double coll_stall_hi = 4.0;
-};
-
-/// The pure policy step: derive a new table from a counter aggregate.
-/// Deterministic and side-effect free so it is unit-testable on synthetic
-/// counter streams. Adjustments:
-///  - drain_exhausted rate high  -> double drain_budget (cap 4096);
-///  - ring_stalls rate high      -> double each placement row's ring depth
-///    (materialising the Config default 4 when the row inherits; cap 32);
-///  - fastbox fallback rate high -> double fastbox_slots (cap 64) and turn
-///    on hot-peer-first polling;
-///  - fastbox-dominant traffic   -> hot-peer-first polling;
-///  - coll epoch stalls per shm op high -> double coll_activation (cap
-///    1 MiB): sync-dominated arena collectives should have gone pt2pt.
-TuningTable apply_counter_feedback(TuningTable t, const Counters& total,
-                                   const FeedbackOptions& opt = {});
-
-/// Run one probe world (`nranks` ranks, thread mode, alltoall of
-/// opt.rndv_bytes + a small eager storm per round) against table `t` and
-/// return the cross-rank counter aggregate. nullopt when the world cannot
-/// run (e.g. fork-bomb-guarded CI with nranks > some hard limit) — the
-/// caller then keeps `t` unchanged.
-std::optional<Counters> run_feedback_probe(const Topology& topo,
-                                           const TuningTable& t, int nranks,
-                                           const FeedbackOptions& opt = {});
-
-/// probe -> apply, once per rank count in opt.rank_counts (the second probe
-/// runs against the already-adjusted table, so a first-round fix that holds
-/// at 8 ranks is not doubled again). Returns the adjusted table.
-TuningTable calibrate_feedback(const Topology& topo, TuningTable t,
-                               const FeedbackOptions& opt = {});
 
 // --- Individual probes (exposed for nemo-tune's narration) -----------------
 

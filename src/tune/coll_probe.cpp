@@ -2,9 +2,8 @@
 // with the path forced each way (Config::coll, bypassing NEMO_COLL) and
 // hand the two wall-clock cost functions to the generic crossover search.
 //
-// Layering note: like tune/feedback.cpp, this file sits in tune/ but drives
-// core::run to generate measurement traffic — tooling, not a runtime
-// dependency.
+// Layering note: this file sits in tune/ but drives core::run to generate
+// measurement traffic — tooling, not a runtime dependency.
 #include <algorithm>
 #include <vector>
 

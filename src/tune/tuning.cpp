@@ -2,13 +2,16 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "coll/coll.hpp"
 #include "common/options.hpp"
+#include "shm/fastbox.hpp"
 #include "shm/nt_copy.hpp"
 #include "tune/json.hpp"
 
@@ -58,8 +61,8 @@ std::string topology_fingerprint(const Topology& topo) {
   fnv1a(h, static_cast<std::uint64_t>(topo.num_cores));
   for (int s : topo.socket_of) fnv1a(h, static_cast<std::uint64_t>(s));
   for (int d : topo.die_of) fnv1a(h, static_cast<std::uint64_t>(d));
-  // The NUMA map participates: a table tuned under one node layout (ring
-  // geometry, placement-sensitive crossovers) is stale under another.
+  // The NUMA map participates: a table tuned under one node layout
+  // (placement-sensitive crossovers) is stale under another.
   for (int n : topo.numa_of) fnv1a(h, static_cast<std::uint64_t>(n) + 1);
   for (const auto& c : topo.caches) {
     fnv1a(h, static_cast<std::uint64_t>(c.level));
@@ -98,7 +101,7 @@ TuningTable formula_defaults(const Topology& topo) {
     if (auto llc = topo.shared_cache(pair->first, pair->second))
       t.for_placement(PairPlacement::kSharedCache).nt_min = llc->size_bytes / 2;
   }
-  t.fastbox_max = 2 * KiB - 64;  // One default slot's payload.
+  t.fastbox_max = 2 * KiB - 64;  // Fills a 2 KiB slot.
   t.barrier_tree_k = coll::default_barrier_tree_k(topo);
   // Packed strided operands stream under the same don't-flush-the-cache
   // bound as the ring copies; the kernel stays CPUID-auto until the simd
@@ -127,33 +130,6 @@ TuningTable with_env_overrides(TuningTable t) {
   if (nemo::Config::str("NEMO_DMA_MIN")) t.dma_min = nemo::Config::size("NEMO_DMA_MIN", 0);
   if (nemo::Config::str("NEMO_FASTBOX_MAX"))
     t.fastbox_max = nemo::Config::size("NEMO_FASTBOX_MAX", t.fastbox_max);
-  long slots = nemo::Config::integer("NEMO_FASTBOX_SLOTS", t.fastbox_slots);
-  if (slots >= 1 && slots <= 64)
-    t.fastbox_slots = static_cast<std::uint32_t>(slots);
-  if (nemo::Config::str("NEMO_FASTBOX_SLOT_BYTES")) {
-    std::size_t v = nemo::Config::size("NEMO_FASTBOX_SLOT_BYTES", t.fastbox_slot_bytes);
-    if (v >= 128 && v <= 16 * KiB)
-      t.fastbox_slot_bytes =
-          static_cast<std::uint32_t>(round_up(v, kCacheLine));
-  }
-  long budget = nemo::Config::integer("NEMO_DRAIN_BUDGET", t.drain_budget);
-  if (budget >= 1) t.drain_budget = static_cast<std::uint32_t>(budget);
-  // Ring geometry knobs apply to every placement row (they also reach the
-  // Config via apply_env, but a cached per-placement value must still lose
-  // to an explicit env knob).
-  if (nemo::Config::str("NEMO_RING_BUFS")) {
-    long rb = nemo::Config::integer("NEMO_RING_BUFS", 0);
-    if (rb >= 1 && rb <= 1024)
-      for (auto& pt : t.place) pt.ring_bufs = static_cast<std::uint32_t>(rb);
-  }
-  if (nemo::Config::str("NEMO_RING_BUF_BYTES")) {
-    std::size_t v = nemo::Config::size("NEMO_RING_BUF_BYTES", 0);
-    if (v >= kCacheLine && v <= 1 * GiB)
-      for (auto& pt : t.place)
-        pt.ring_buf_bytes =
-            static_cast<std::uint32_t>(round_up(v, kCacheLine));
-  }
-  t.poll_hot = nemo::Config::flag("NEMO_POLL_HOT", t.poll_hot);
   if (nemo::Config::str("NEMO_COLL_ACTIVATION"))
     t.coll_activation = nemo::Config::size("NEMO_COLL_ACTIVATION", t.coll_activation);
   if (auto v = coll_slot_bytes_from_env())
@@ -164,6 +140,10 @@ TuningTable with_env_overrides(TuningTable t) {
     t.simd_kernel = simd::choice_from_string(*v, "NEMO_SIMD");
   if (nemo::Config::str("NEMO_PACK_NT_MIN"))
     t.pack_nt_min = nemo::Config::size("NEMO_PACK_NT_MIN", t.pack_nt_min);
+  // The World sizes fastbox slots from the cutoff, so the cutoff is bounded
+  // by the largest slot; every resolved table (formula, cache, programmatic
+  // Config::tuning) passes through here.
+  t.fastbox_max = std::min(t.fastbox_max, shm::Fastbox::kMaxPayload);
   return t;
 }
 
@@ -216,11 +196,11 @@ std::string to_json(const TuningTable& t) {
   // Schema 2 added the coll_* fields, schema 3 the barrier_tree_* fields,
   // schema 4 the simd_kernel / pack_nt_min rows, schema 5 the lmt_cma
   // availability/activation row (and the "cma" backend value), schema 6 the
-  // coll_hier_nodes row (hierarchical two-level collectives). from_json
-  // still accepts schemas 1-5 (missing fields keep their formula defaults)
-  // so a pre-existing cache degrades to "newer fields uncalibrated", not a
-  // parse error.
-  root.set("schema", std::string("nemo-tune/6"));
+  // coll_hier_nodes row (hierarchical two-level collectives); schema 7
+  // dropped the fastbox geometry, drain budget, hot-peer polling and
+  // per-placement ring rows. from_json accepts every nemo-tune/N: missing
+  // fields keep their formula defaults and unknown ones are ignored.
+  root.set("schema", std::string("nemo-tune/7"));
   root.set("fingerprint", t.fingerprint);
   root.set("source", t.source);
 
@@ -232,8 +212,6 @@ std::string to_json(const TuningTable& t) {
     p.set("push_nt", pt.push_nt);
     p.set("lmt_activation", static_cast<std::uint64_t>(pt.lmt_activation));
     p.set("backend", std::string(to_string(pt.backend)));
-    p.set("ring_bufs", static_cast<std::uint64_t>(pt.ring_bufs));
-    p.set("ring_buf_bytes", static_cast<std::uint64_t>(pt.ring_buf_bytes));
     places.set(placement_key(i), std::move(p));
   }
   root.set("placements", std::move(places));
@@ -246,11 +224,6 @@ std::string to_json(const TuningTable& t) {
   root.set("collective_activation",
            static_cast<std::uint64_t>(t.collective_activation));
   root.set("fastbox_max", static_cast<std::uint64_t>(t.fastbox_max));
-  root.set("fastbox_slots", static_cast<std::uint64_t>(t.fastbox_slots));
-  root.set("fastbox_slot_bytes",
-           static_cast<std::uint64_t>(t.fastbox_slot_bytes));
-  root.set("drain_budget", static_cast<std::uint64_t>(t.drain_budget));
-  root.set("poll_hot", t.poll_hot);
   root.set("coll_activation", static_cast<std::uint64_t>(t.coll_activation));
   root.set("coll_slot_bytes",
            static_cast<std::uint64_t>(t.coll_slot_bytes));
@@ -269,9 +242,10 @@ std::optional<TuningTable> from_json(const std::string& text,
   auto doc = Json::parse(text, err);
   if (!doc) return std::nullopt;
   std::string schema = (*doc)["schema"].as_string();
-  if (schema != "nemo-tune/1" && schema != "nemo-tune/2" &&
-      schema != "nemo-tune/3" && schema != "nemo-tune/4" &&
-      schema != "nemo-tune/5" && schema != "nemo-tune/6") {
+  constexpr std::string_view kPrefix = "nemo-tune/";
+  if (schema.size() <= kPrefix.size() || !schema.starts_with(kPrefix) ||
+      schema.find_first_not_of("0123456789", kPrefix.size()) !=
+          std::string::npos) {
     if (err != nullptr) *err = "unknown schema";
     return std::nullopt;
   }
@@ -290,10 +264,6 @@ std::optional<TuningTable> from_json(const std::string& text,
     pt.lmt_activation = p["lmt_activation"].as_uint(pt.lmt_activation);
     if (auto b = backend_from_string(p["backend"].as_string()))
       pt.backend = *b;
-    pt.ring_bufs =
-        static_cast<std::uint32_t>(p["ring_bufs"].as_uint(pt.ring_bufs));
-    pt.ring_buf_bytes = static_cast<std::uint32_t>(
-        p["ring_buf_bytes"].as_uint(pt.ring_buf_bytes));
   }
   t.dma_min = (*doc)["dma_min"].as_uint(t.dma_min);
   if (const Json& cma = (*doc)["lmt_cma"]; !cma.is_null()) {
@@ -303,13 +273,6 @@ std::optional<TuningTable> from_json(const std::string& text,
   t.collective_activation =
       (*doc)["collective_activation"].as_uint(t.collective_activation);
   t.fastbox_max = (*doc)["fastbox_max"].as_uint(t.fastbox_max);
-  t.fastbox_slots = static_cast<std::uint32_t>(
-      (*doc)["fastbox_slots"].as_uint(t.fastbox_slots));
-  t.fastbox_slot_bytes = static_cast<std::uint32_t>(
-      (*doc)["fastbox_slot_bytes"].as_uint(t.fastbox_slot_bytes));
-  t.drain_budget = static_cast<std::uint32_t>(
-      (*doc)["drain_budget"].as_uint(t.drain_budget));
-  t.poll_hot = (*doc)["poll_hot"].as_bool(t.poll_hot);
   t.coll_activation =
       (*doc)["coll_activation"].as_uint(t.coll_activation);
   t.coll_slot_bytes = static_cast<std::uint32_t>(
@@ -330,26 +293,13 @@ std::optional<TuningTable> from_json(const std::string& text,
   t.coll_hier_nodes = static_cast<std::uint32_t>(
       (*doc)["coll_hier_nodes"].as_uint(t.coll_hier_nodes));
   // A hand-edited or truncated cache must degrade to the formulas, not trip
-  // always-compiled asserts in every program on the machine (the fastbox
-  // geometry feeds shm::Fastbox::create directly, the ring geometry
-  // shm::CopyRing::create, the coll geometry coll::WorldColl::create).
-  if (t.fastbox_slots < 1 || t.fastbox_slots > 64 ||
-      t.fastbox_slot_bytes <= 64 || t.fastbox_slot_bytes > 16 * KiB ||
-      t.fastbox_slot_bytes % kCacheLine != 0 || t.drain_budget < 1 ||
-      !coll_slot_in_range(t.coll_slot_bytes) || t.barrier_tree_ranks < 2 ||
+  // always-compiled asserts in every program on the machine (the coll
+  // geometry feeds coll::WorldColl::create directly).
+  if (!coll_slot_in_range(t.coll_slot_bytes) || t.barrier_tree_ranks < 2 ||
       t.barrier_tree_k < 2 || t.barrier_tree_k > 64 ||
       t.coll_hier_nodes < 2) {
     if (err != nullptr) *err = "out-of-range tuning values";
     return std::nullopt;
-  }
-  for (const auto& pt : t.place) {
-    if (pt.ring_bufs > 1024 ||
-        (pt.ring_buf_bytes != 0 &&
-         (pt.ring_buf_bytes < kCacheLine || pt.ring_buf_bytes > 1 * GiB ||
-          pt.ring_buf_bytes % kCacheLine != 0))) {
-      if (err != nullptr) *err = "out-of-range ring geometry";
-      return std::nullopt;
-    }
   }
   return t;
 }

@@ -40,10 +40,8 @@ std::optional<Backend> backend_from_string(const std::string& s);
 /// Thresholds for one pair-placement class.
 ///
 /// Contract: a PlacementTuning is plain data — producers (formulas,
-/// calibration, the feedback pass, the JSON cache) fill it, consumers
-/// (lmt::Policy, ShmCopyBackend, World) only read it. Zero values in the
-/// geometry fields mean "inherit the Config/env default", so a formula table
-/// stays byte-stable across Config changes.
+/// calibration, the JSON cache) fill it, consumers (lmt::Policy,
+/// ShmCopyBackend) only read it.
 struct PlacementTuning {
   /// Minimum rendezvous size that switches ring copies to streaming
   /// (non-temporal) stores. SIZE_MAX = never.
@@ -56,11 +54,6 @@ struct PlacementTuning {
   std::size_t lmt_activation = 8 * KiB;
   /// Preferred rendezvous backend.
   Backend backend = Backend::kDefault;
-  /// Copy-ring geometry for pairs of this placement. 0 = inherit the
-  /// world-wide Config/env value. The feedback pass raises ring_bufs when
-  /// the telemetry shows senders stalling on full rings.
-  std::uint32_t ring_bufs = 0;
-  std::uint32_t ring_buf_bytes = 0;
 };
 
 /// The full per-machine tuning state the runtime consults.
@@ -102,21 +95,10 @@ struct TuningTable {
   /// pipelining granularity). NEMO_COLL_SLOT_BYTES overrides.
   std::uint32_t coll_slot_bytes = 256 * KiB;
 
-  /// Eager messages at or below this ride the per-pair fastbox ring.
+  /// Eager messages at or below this ride the per-pair fastbox ring. The
+  /// World sizes every slot to hold it (shm::Fastbox::slot_bytes_for);
+  /// with_env_overrides clamps it to shm::Fastbox::kMaxPayload.
   std::size_t fastbox_max = 2 * KiB - 64;
-  std::uint32_t fastbox_slots = 4;
-  std::uint32_t fastbox_slot_bytes = 2 * KiB;
-
-  /// Recv-queue cells drained per progress() pass before yielding to the
-  /// send/recv state machines.
-  std::uint32_t drain_budget = 256;
-
-  /// Hot-peer-first fastbox polling: the engine periodically re-sorts its
-  /// fastbox poll order by recent traffic instead of scanning ranks in
-  /// order. Off by default; the feedback pass enables it when fastbox
-  /// traffic dominates or senders report full boxes. NEMO_POLL_HOT
-  /// overrides.
-  bool poll_hot = false;
 
   /// World size at/above which the arena barrier combines arrivals up a
   /// k-ary tree instead of rank 0 gathering all n-1 flags (flat stays
@@ -182,12 +164,11 @@ std::string topology_fingerprint(const Topology& topo);
 TuningTable formula_defaults(const Topology& topo);
 
 /// Apply env-knob overrides (NEMO_NT_MIN, NEMO_LMT_ACTIVATION,
-/// NEMO_FASTBOX_MAX, NEMO_FASTBOX_SLOTS, NEMO_FASTBOX_SLOT_BYTES,
-/// NEMO_DRAIN_BUDGET, NEMO_DMA_MIN, NEMO_BACKEND, NEMO_RING_BUFS,
-/// NEMO_RING_BUF_BYTES, NEMO_POLL_HOT, NEMO_COLL_ACTIVATION,
-/// NEMO_COLL_SLOT_BYTES, NEMO_BARRIER_TREE, NEMO_SIMD, NEMO_PACK_NT_MIN)
-/// on top of `t` — the "env beats cache beats formula" precedence every
-/// entry point shares. See docs/TUNING.md for the authoritative knob table.
+/// NEMO_FASTBOX_MAX, NEMO_DMA_MIN, NEMO_BACKEND, NEMO_COLL_ACTIVATION,
+/// NEMO_COLL_SLOT_BYTES, NEMO_BARRIER_TREE, NEMO_COLL_HIER, NEMO_SIMD,
+/// NEMO_PACK_NT_MIN) on top of `t` — the "env beats cache beats formula"
+/// precedence every entry point shares — then clamp fastbox_max to what a
+/// slot can hold. See docs/TUNING.md for the authoritative knob table.
 TuningTable with_env_overrides(TuningTable t);
 
 /// Parse NEMO_BARRIER_TREE into a barrier_tree_ranks threshold: `off`/`0`

@@ -1,6 +1,11 @@
 // Unit tests for the common substrate: byte units, size parsing, checksums,
-// pattern fill/verify, iovec math, statistics.
+// pattern fill/verify, iovec math, statistics, and the knob registry against
+// its documented table.
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <map>
+#include <string>
 
 #include "common/checksum.hpp"
 #include "common/common.hpp"
@@ -169,6 +174,60 @@ TEST(Options, FinalizeRejectsUnknown) {
 TEST(Options, RejectsMalformed) {
   const char* argv[] = {"prog", "notanoption"};
   EXPECT_THROW(Options(2, const_cast<char**>(argv)), std::invalid_argument);
+}
+
+/// Trim spaces and Markdown backticks from a table cell.
+std::string cell_text(const std::string& cell) {
+  std::string out;
+  for (char c : cell)
+    if (c != '`') out += c;
+  std::size_t b = out.find_first_not_of(' ');
+  std::size_t e = out.find_last_not_of(' ');
+  return b == std::string::npos ? "" : out.substr(b, e - b + 1);
+}
+
+// docs/TUNING.md is the knob reference users read; it must list exactly the
+// registry's knobs (the ones `nemo-tune --knobs` prints), count them right,
+// and agree on every default that is not calibrated per machine.
+TEST(Options, KnobRegistryMatchesTuningDoc) {
+  std::ifstream doc(NEMO_TUNING_DOC);
+  ASSERT_TRUE(doc) << "cannot read " << NEMO_TUNING_DOC;
+  std::map<std::string, std::string> doc_default;  // knob -> Default cell
+  long header_count = -1;
+  bool in_table_section = false;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("## ", 0) == 0) in_table_section = line == "## The knobs";
+    if (!in_table_section) continue;
+    if (line.rfind("All ", 0) == 0) header_count = std::stol(line.substr(4));
+    if (line.rfind("| `NEMO_", 0) != 0) continue;
+    // | `NAME` | default | read by | meaning |
+    std::size_t c1 = line.find('|', 1);
+    std::size_t c2 = line.find('|', c1 + 1);
+    ASSERT_NE(c2, std::string::npos) << line;
+    std::string name = cell_text(line.substr(1, c1 - 1));
+    EXPECT_TRUE(doc_default.emplace(name, cell_text(line.substr(
+                                              c1 + 1, c2 - c1 - 1)))
+                    .second)
+        << "duplicate row " << name;
+  }
+
+  const auto& knobs = Config::knobs();
+  EXPECT_EQ(header_count, static_cast<long>(knobs.size()))
+      << "\"All N\" header in docs/TUNING.md";
+  std::map<std::string, std::string> registry;
+  for (const KnobInfo& k : knobs) registry.emplace(k.name, k.def);
+  for (const auto& [name, def] : registry)
+    EXPECT_TRUE(doc_default.count(name)) << name << " missing from the doc";
+  for (const auto& [name, def] : doc_default) {
+    auto it = registry.find(name);
+    if (it == registry.end()) {
+      ADD_FAILURE() << name << " documented but not registered";
+      continue;
+    }
+    if (def.rfind("tuned", 0) == 0) continue;  // Calibrated per machine.
+    EXPECT_EQ(def, it->second) << name << " default";
+  }
 }
 
 }  // namespace

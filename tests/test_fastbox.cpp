@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -299,6 +301,39 @@ TEST(EnvKnobs, OverrideRingGeometryAndFastbox) {
   ::unsetenv("NEMO_RING_BUF_BYTES");
   ::unsetenv("NEMO_FASTBOX");
   ::unsetenv("NEMO_NT_MIN");
+
+  // Out-of-range ring geometry fails loudly, naming the knob, instead of
+  // silently running the default ring.
+  auto rejects = [](const char* knob, const char* value) {
+    ::setenv(knob, value, 1);
+    Config cfg;
+    cfg.nranks = 2;
+    try {
+      World w(cfg);
+      ADD_FAILURE() << knob << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(knob);
+  };
+  rejects("NEMO_RING_BUFS", "0");
+  rejects("NEMO_RING_BUFS", "-3");
+  rejects("NEMO_RING_BUFS", "1025");
+  rejects("NEMO_RING_BUF_BYTES", "32");
+  rejects("NEMO_RING_BUF_BYTES", "2GiB");
+  // The bounds themselves are legal.
+  ::setenv("NEMO_RING_BUFS", "1024", 1);
+  ::setenv("NEMO_RING_BUF_BYTES", "64", 1);
+  {
+    Config cfg;
+    cfg.nranks = 2;
+    World w(cfg);
+    EXPECT_EQ(w.config().ring_bufs, 1024u);
+    EXPECT_EQ(w.config().ring_buf_bytes, 64u);
+  }
+  ::unsetenv("NEMO_RING_BUFS");
+  ::unsetenv("NEMO_RING_BUF_BYTES");
 }
 
 }  // namespace
