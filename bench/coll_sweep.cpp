@@ -72,7 +72,7 @@ double real_coll_us(coll::Mode mode, const char* op, int nranks,
   return result;
 }
 
-/// MiB/s of the vertical fold an allreduce leader runs per merged rank
+/// MiB/s of the vertical fold an allreduce owner runs per merged rank
 /// (dst[i] += src[i], f64) under the given kernel. In-process — no world,
 /// no transport — so the row isolates the compute half of the reduction.
 double fold_mibs(simd::Kernel k, std::size_t bytes, int iters, int samples) {
@@ -262,8 +262,8 @@ int main(int argc, char** argv) {
   }
 
   // End-to-end effect of the kernel choice: allreduce with NEMO_SIMD pinned
-  // (the env is read at world construction, so it lands on the shm leader
-  // fold and the p2p combine loop alike).
+  // (the env is read at world construction, so it lands on the shm owner
+  // folds and the p2p combine loop alike).
   std::printf("# Allreduce — fold kernel forced via NEMO_SIMD\n");
   const char* best_kn = simd::kernel_name(simd::best_supported());
   std::vector<const char*> forced_kernels{"scalar"};

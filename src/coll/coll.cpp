@@ -1,7 +1,6 @@
 #include "coll/coll.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 
@@ -68,18 +67,6 @@ int choose_leader(const std::vector<int>& node_of_rank) {
   for (std::size_t r = 0; r < node_of_rank.size(); ++r)
     if (node_of_rank[r] == best_node) return static_cast<int>(r);
   return 0;
-}
-
-int leader_from_env(int def, int nranks) {
-  auto v = nemo::Config::str("NEMO_COLL_LEADER");
-  if (!v) return def;
-  char* end = nullptr;
-  long r = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0' || r < 0 || r >= nranks)
-    throw std::invalid_argument("NEMO_COLL_LEADER: '" + *v +
-                                "' is not a rank in [0, " +
-                                std::to_string(nranks) + ")");
-  return static_cast<int>(r);
 }
 
 std::uint32_t default_barrier_tree_k(const Topology& topo) {

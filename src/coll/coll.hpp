@@ -51,18 +51,14 @@ std::size_t alltoall_chunk_capacity(std::size_t slot_bytes, int nranks);
 bool use_shm(Mode mode, std::size_t op_bytes, std::size_t coll_activation,
              int nranks, std::size_t chunk_capacity);
 
-/// NUMA-aware reduction-leader choice: the rank whose NUMA node backs the
-/// plurality of ranks (operand buffers and poll traffic are node-local to
-/// their writers, so the fold should run where most operands live). Ties go
-/// to the lower node id; the leader is the lowest rank on the winning node.
-/// `node_of_rank[r]` is rank r's backing node, -1 = unknown. Single-node
-/// and all-unknown maps fall back to rank 0 (the pre-v2 combiner).
+/// NUMA-aware leader choice for one node's members in the hierarchical
+/// collectives: the member whose NUMA node backs the plurality of members
+/// (operand buffers and poll traffic are node-local to their writers, so
+/// the node's fold should run where most operands live). Ties go to the
+/// lower node id; the leader is the lowest member on the winning node.
+/// `node_of_rank[r]` is member r's backing node, -1 = unknown. Single-node
+/// and all-unknown maps fall back to member 0.
 int choose_leader(const std::vector<int>& node_of_rank);
-
-/// Resolve NEMO_COLL_LEADER on top of a programmatic default (-1 = auto /
-/// NUMA-derived). Throws on a non-integer or out-of-range rank — a silently
-/// ignored pin would make leader experiments unmeasurable.
-int leader_from_env(int def, int nranks);
 
 /// Formula fan-in for the k-ary tree barrier on `topo`: the number of cores
 /// sharing a last-level cache (arrivals within one LLC domain are cheap, so

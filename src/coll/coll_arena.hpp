@@ -12,8 +12,9 @@
 //   ProbeCell[2 * nranks]          per-rank seq-tagged count-probe cells
 //                                  (parity double-buffered, see below)
 //   nranks x slot:
-//     SlotHeader                   epoch / doorbell / direct-read offset
-//     table[2 * nranks] u64        per-dest (offset, len) for alltoallv
+//     SlotHeader                   epoch / doorbell / direct-read offsets
+//     table[2 * nranks] u64        per-dest (offset, len) for alltoallv;
+//                                  per-owner lane/read counts for reduce
 //     payload[slot_bytes]          staged operand bytes
 //
 // Synchronisation protocol (the algorithms live in core/collectives.cpp):
@@ -78,6 +79,7 @@ struct SlotHeader {
   std::uint64_t chunks;   ///< Doorbell: payload chunks published this epoch.
   std::uint64_t src_off;  ///< Direct-read arena offset; kNil = staged.
   std::uint64_t bytes;    ///< Op-specific meta (bytes, rounds, ...).
+  std::uint64_t dst_off;  ///< Reduce: arena offset of a direct result.
 };
 static_assert(sizeof(SlotHeader) == kCacheLine);
 
@@ -195,11 +197,13 @@ class WorldColl {
   /// RELEASE-publish the epoch. Safe because the previous collective's
   /// completion handshake ordered every old reader before this store.
   void begin_epoch(int r, std::uint64_t e, std::uint64_t src_off,
-                   std::uint64_t bytes) const {
+                   std::uint64_t bytes,
+                   std::uint64_t dst_off = shm::kNil) const {
     SlotHeader* h = header(r);
     shm::aref(h->chunks).store(0, std::memory_order_relaxed);
     h->src_off = src_off;
     h->bytes = bytes;
+    h->dst_off = dst_off;
     shm::aref(h->epoch).store(e, std::memory_order_release);
   }
 
@@ -214,6 +218,34 @@ class WorldColl {
       return false;
     return k == 0 ||
            shm::aref(h->chunks).load(std::memory_order_acquire) >= k;
+  }
+
+  // --- Owner-computes reduce counters -------------------------------------
+  // A reduce keeps two per-peer count rows in the slot's table words (idle
+  // outside alltoallv), both written only by the slot's rank: lane[o] =
+  // chunks of owner o's block staged into lane o of this slot, read[o] =
+  // chunks of owner o's staged result this rank has consumed. open_reduce()
+  // zeroes them before publishing the epoch, so a peer that acquired the
+  // epoch only ever sees this instance's counts.
+
+  void open_reduce(int r, std::uint64_t e, std::uint64_t src_off,
+                   std::uint64_t dst_off) const {
+    std::uint64_t* t = table(r);
+    for (int i = 0; i < 2 * nranks(); ++i)
+      shm::aref(t[i]).store(0, std::memory_order_relaxed);
+    begin_epoch(r, e, src_off, 0, dst_off);
+  }
+  void publish_lane(int w, int o, std::uint64_t k) const {
+    shm::aref(table(w)[o]).store(k, std::memory_order_release);
+  }
+  [[nodiscard]] std::uint64_t lane_chunks(int w, int o) const {
+    return shm::aref(table(w)[o]).load(std::memory_order_acquire);
+  }
+  void ack_block(int r, int o, std::uint64_t k) const {
+    shm::aref(table(r)[nranks() + o]).store(k, std::memory_order_release);
+  }
+  [[nodiscard]] std::uint64_t block_acked(int r, int o) const {
+    return shm::aref(table(r)[nranks() + o]).load(std::memory_order_acquire);
   }
 
   // --- Epoch-tagged acks ---------------------------------------------------

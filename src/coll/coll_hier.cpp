@@ -81,7 +81,7 @@ HierTopo hier_topo(Engine& eng) {
   for (int k = 0; k < h.nodes; ++k) {
     int b = h.first[static_cast<std::size_t>(k)];
     int e = h.first[static_cast<std::size_t>(k) + 1];
-    // Same NUMA derivation the World uses for the flat coll_leader: the
+    // Each member's NUMA node: the
     // pinned core's node when bound, else the recorded ring-placement
     // decision (computed even when mbind never ran, so the choice stays
     // deterministic on single-node hosts).

@@ -118,8 +118,6 @@ const std::vector<KnobInfo>& Config::knobs() {
        "coll", "min payload bytes before collectives use the shm arena"},
       {"NEMO_COLL_HIER", KnobType::kString, "tuned",
        "coll", "hierarchical collectives: off, on, or min synthetic nodes"},
-      {"NEMO_COLL_LEADER", KnobType::kInt, "NUMA-derived",
-       "coll", "force the collective leader rank"},
       {"NEMO_COLL_SLOT_BYTES", KnobType::kSize, "tuned",
        "coll", "per-rank payload slot bytes in the collective arena"},
       {"NEMO_DMA_MIN", KnobType::kSize, "formula",

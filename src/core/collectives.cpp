@@ -63,6 +63,18 @@ SubGeom sub_geometry(std::size_t slot_bytes) {
   return {sub, nsub};
 }
 
+/// Owner-computes reduce geometry: each writer's slot holds one lane per
+/// owner, kLaneBufs sub-buffers deep; a sub-buffer is also the fold's
+/// sub-chunk. Zero when the slot cannot give every owner a two-line lane.
+constexpr std::uint64_t kLaneBufs = 2;
+
+std::size_t lane_sub(std::size_t slot_bytes, int p) {
+  std::size_t sub =
+      std::min(sub_geometry(slot_bytes).sub,
+               slot_bytes / (kLaneBufs * static_cast<std::size_t>(p)));
+  return sub - sub % kCacheLine;
+}
+
 /// Writer w's per-destination stride index for dest d (self excluded).
 std::size_t dest_index(int w, int d) { return d < w ? d : d - 1; }
 
@@ -1051,197 +1063,255 @@ void Comm::allreduce_impl(const T* in, T* out, std::size_t n, ReduceOp op,
   bcast_p2p(out, n * sizeof(T), 0);
 }
 
-/// Leader-based pipelined shm reduction (arena v2). Every non-leader rank
-/// deposits its operand (direct offset when arena-resident, else sub-buffer
-/// staged chunks, exactly the bcast geometry) and the leader folds each
-/// sub-chunk AS SOON AS every writer's doorbell for it fires — PR 4 instead
-/// serialized whole-slot rounds on the leader's doorbell. Folded chunks are
-/// published through the leader's own slot, where the result readers (the
-/// root for reduce, everyone for allreduce) pipeline behind the fold; for
-/// allreduce this fuses what used to be a separate full bcast phase into
-/// the fold itself. The leader is the NUMA-chosen World::coll_leader (the
-/// node owning the plurality of operand buffers), decoupled from the user
-/// root.
+/// Owner-computes shm reduction: a reduce-scatter followed by a gather,
+/// both inside the arena. The element range is cut into one contiguous,
+/// cacheline-aligned block per surviving rank (the k-th survivor in rank
+/// order owns block k; blocks may be empty when n is small). Every rank is
+/// at once
+///  - a writer: it publishes its operand's arena offset when the operand is
+///    arena-resident (direct), else stages each owner's block through its
+///    own lane of the writer's slot, sub-chunk by sub-chunk;
+///  - an owner: it folds its block in sub-chunks of one lane sub-buffer,
+///    straight into its `out` block when readers can reach it there (or
+///    nobody else reads it), else into its own lane of its own slot — a
+///    rank never deposits into its own lane, so that lane carries its
+///    staged result stream;
+///  - a reader (everyone for allreduce, the root for reduce): it copies the
+///    other blocks as their owners publish them, starting at peer r+1 so
+///    the reads spread over the owners.
+/// No core streams more than its 1/p share of the operands.
 ///
 /// Fold order: the p2p oracle seeds with the ROOT's operand and then folds
-/// ranks 0..p-1 in ascending order, skipping the root. The leader
-/// reproduces exactly that element-wise order per chunk — direct operands
-/// are sliced too, even though they are fully available from chunk 0 — so
-/// the result matches the oracle bit-for-bit regardless of deposit modes,
-/// leader choice, or chunk size, and the cross-check tests can compare
-/// exactly.
+/// ranks 0..p-1 in ascending order, skipping the root. Each owner applies
+/// exactly that element-wise order to its block, so the result matches the
+/// oracle bit for bit for any deposit mode, block split or sub-chunk size.
+/// Fenced ranks contribute nothing and own nothing; a fenced root's seed
+/// falls back to the lowest surviving rank (the oracle over the survivors).
 ///
-/// Deadlock shape to respect: in allreduce every rank is writer AND reader.
-/// The leader's result sub-buffers recycle on reader acks, and writer
-/// deposits recycle on the leader's fold doorbell — if writers finished all
-/// deposits before consuming any result chunk, both gates could starve
-/// each other. Non-leader ranks therefore run deposit and result
-/// consumption as one interleaved loop, advancing whichever side is ready.
+/// Gates: a writer reuses lane sub-buffer j%2 for chunk j once the owner's
+/// doorbell (`chunks`, its fold progress) passed chunk j-2; an owner reuses
+/// its result sub-buffer once every reader's read count passed chunk j-2.
+/// Those counts live in the slot's table words (WorldColl::open_reduce).
+///
+/// Deadlock shape: every role waits only on another role's progress, and
+/// every rank runs all three roles as one interleaved, non-blocking loop
+/// that keeps Engine::progress() pumping under a WaitGuard. The op ends
+/// with an all-survivor done handshake on the ack cells, so nobody reopens
+/// its slot (or lets the caller reuse `in`/`out`) while a peer still reads
+/// them.
+///
+/// In-place calls (in == out): an owner whose `out` overlaps its `in` folds
+/// through its own lane and copies the block back afterwards, so its own
+/// operand block is never overwritten before it is folded. Every other
+/// block of `out` is written only after its owner published it, i.e. after
+/// that owner read this rank's operand block for the last time.
 template <typename T>
 void Comm::reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op,
                       int root, bool all, std::uint64_t epoch) {
   Engine& eng = engine_;
   coll::WorldColl& cw = eng.coll_view();
   shm::Arena& arena = cw.arena();
-  int p = size(), r = rank();
-  // NUMA-chosen leader, remapped to the lowest survivor when the configured
-  // leader has been fenced (world-symmetric after fence_world()).
-  int leader = eng.effective_coll_leader();
-  NEMO_ASSERT(leader >= 0 && leader < p);
-  std::size_t bytes = n * sizeof(T);
+  const int p = size(), r = rank();
+  const std::size_t bytes = n * sizeof(T);
   eng.counters().coll_shm_bytes += bytes;
-  SubGeom g = sub_geometry(cw.slot_bytes());
-  std::size_t chunk_elems = g.sub / sizeof(T);
-  NEMO_ASSERT(chunk_elems > 0);
-  // Every operand spans the same element count, so the chunk schedule is
-  // one world-symmetric value for every rank and both deposit modes.
-  std::uint64_t nchunks = div_ceil(n, chunk_elems);
-  std::uint64_t rounds = std::max<std::uint64_t>(1, nchunks);
-  bool reads_result = all || r == root;
+  const std::size_t sub = lane_sub(cw.slot_bytes(), p);
+  const std::size_t ce = sub / sizeof(T);  // Elements per sub-chunk.
+  NEMO_ASSERT(ce > 0);
 
-  if (r != leader) {
-    bool direct = bytes > 0 && arena.contains(in, bytes);
-    std::uint64_t my_chunks = direct ? 0 : nchunks;
-    cw.begin_epoch(r, epoch, direct ? arena.offset_of(in) : shm::kNil,
-                   my_chunks);
-    std::uint64_t dep = 0, got = 0;
-    std::uint32_t spins = 0;
-    bool stalled = false;
-    // Both sides of the interleaved loop block on the leader, so the guard
-    // watches it; a dead leader makes the whole op unfinishable.
-    resil::WaitGuard guard =
-        eng.make_guard(resil::Site::kCollDoorbell, leader);
-    try {
-      while (dep < my_chunks || (reads_result && got < rounds)) {
-        bool advanced = false;
-        // Deposit side. Sub-buffer reuse gate: the leader's doorbell at
-        // dep-nsub+1 proves it folded chunk dep-nsub out of every slot.
-        if (dep < my_chunks &&
-            (dep < g.nsub || cw.ready(leader, epoch, dep - g.nsub + 1))) {
-          std::size_t first = static_cast<std::size_t>(dep) * chunk_elems;
-          std::size_t cnt = std::min(chunk_elems, n - first);
-          trace::Span dsp(eng.tracer(), trace::kCollDeposit,
-                          trace::Mode::kRings, dep, cnt * sizeof(T));
-          resil::fault_point(resil::Site::kCollDeposit, r);
-          std::memcpy(cw.payload(r) + (dep % g.nsub) * g.sub, in + first,
-                      cnt * sizeof(T));
-          cw.publish_chunks(r, ++dep);
-          advanced = true;
-        }
-        // Result side: consume folded chunks as the leader publishes them.
-        if (reads_result && got < rounds &&
-            cw.ready(leader, epoch, got + 1)) {
-          std::size_t first = static_cast<std::size_t>(got) * chunk_elems;
-          std::size_t cnt = first < n ? std::min(chunk_elems, n - first) : 0;
-          trace::Span rsp(eng.tracer(), trace::kCollRelease,
-                          trace::Mode::kRings, got, cnt * sizeof(T));
-          if (cnt > 0)
-            std::memcpy(out + first,
-                        cw.payload(leader) + (got % g.nsub) * g.sub,
-                        cnt * sizeof(T));
-          cw.set_ack(r, epoch, ++got);
-          advanced = true;
-        }
-        if (!advanced) {
-          if (!stalled) {
-            eng.counters().coll_epoch_stalls++;
-            if (trace::on())
-              eng.tracer().emit(trace::kEpochStall, trace::kInstant,
-                                static_cast<std::uint64_t>(leader));
-            stalled = true;
-          }
-          if ((++spins & 0x3F) == 0) {
-            eng.progress();
-            guard.check();
-            std::this_thread::yield();
-          }
-        }
-      }
-    } catch (const resil::PeerDeadError& e) {
-      eng.peer_death_fence(e);
-      throw;
-    }
-    if (!reads_result) {
-      // Pure writer: a direct operand is read chunk by chunk, so the
-      // buffer stays live until the fold's LAST doorbell; ack so the
-      // leader can return (and its slot be reused by the next collective).
-      spin_until(eng, resil::Site::kCollDoorbell, leader,
-                 [&] { return cw.ready(leader, epoch, rounds); });
-      cw.set_ack(r, epoch, rounds);
-    }
-    return;
-  }
-
-  // Leader. Snapshot every writer's direct-read offset during the gather: a
-  // writer that deposited nothing (direct mode) still exits only after the
-  // final doorbell + ack, but its header may be reopened for the NEXT
-  // collective the moment it does — never re-read it mid-fold.
-  std::vector<std::uint64_t> src_offs(static_cast<std::size_t>(p), shm::kNil);
+  // Fold order (seed first, then the other survivors ascending) and the
+  // block each survivor owns (its index among the survivors).
+  const int seed = eng.rank_fenced(root) ? eng.lowest_alive() : root;
+  std::vector<int> order{seed};
+  struct Peer {
+    int blk = -1;                    ///< Owned block; -1 = fenced.
+    bool open = false;               ///< Its slot reached this epoch.
+    const std::byte* src = nullptr;  ///< Direct operand, else staged.
+    const std::byte* res = nullptr;  ///< Direct result, else staged.
+    std::uint64_t dep = 0;           ///< Our chunks staged into its lane.
+    std::uint64_t got = 0;           ///< Its result chunks we copied.
+  };
+  std::vector<Peer> peer(static_cast<std::size_t>(p));
+  int m = 0;
   for (int w = 0; w < p; ++w) {
-    if (w == r || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollGather, w,
-               [&] { return cw.ready(w, epoch, 0); });
-    src_offs[static_cast<std::size_t>(w)] = cw.header(w)->src_off;
+    if (eng.rank_fenced(w)) continue;
+    peer[static_cast<std::size_t>(w)].blk = m++;
+    if (w != seed) order.push_back(w);
   }
-  bool stage_result = all || r != root;  // Someone reads from our slot.
-  bool want_result = all || r == root;   // Our own `out` is significant.
-  cw.begin_epoch(r, epoch, shm::kNil, 0);
-  for (std::uint64_t t = 0; t < rounds; ++t) {
-    std::size_t first = static_cast<std::size_t>(t) * chunk_elems;
-    std::size_t cnt = first < n ? std::min(chunk_elems, n - first) : 0;
-    if (cnt > 0) {
-      trace::Span fsp(eng.tracer(), trace::kCollFold, trace::Mode::kRings, t,
-                      cnt * sizeof(T));
-      T* dst;
-      if (stage_result) {
-        // Result sub-buffer reuse gate: every reader acked the chunk that
-        // previously occupied this sub-buffer.
-        if (t >= g.nsub) {
-          std::uint64_t need = t - g.nsub + 1;
-          for (int k = 0; k < p; ++k)
-            if (k != r && (all || k == root) && !eng.rank_fenced(k))
-              spin_until(eng, resil::Site::kCollAck, k,
-                         [&] { return cw.acked(k, epoch, need); });
-        }
-        dst = reinterpret_cast<T*>(cw.payload(r) + (t % g.nsub) * g.sub);
-      } else {
-        dst = out + first;
-      }
-      // Seed with the root's slice, then fold 0..p-1 ascending skipping
-      // the root: the exact element-wise order of the p2p oracle,
-      // independent of who leads. Fenced ranks contribute nothing; a
-      // fenced root's seed falls back to the lowest surviving rank (the
-      // oracle over the survivor set).
-      auto slice_of = [&](int w) -> const T* {
-        if (w == r) return in + first;
-        if (src_offs[static_cast<std::size_t>(w)] != shm::kNil)
-          return reinterpret_cast<const T*>(
-                     arena.at(src_offs[static_cast<std::size_t>(w)])) +
-                 first;
-        spin_until(eng, resil::Site::kCollDoorbell, w,
-                   [&] { return cw.ready(w, epoch, t + 1); });
-        return reinterpret_cast<const T*>(cw.payload(w) +
-                                          (t % g.nsub) * g.sub);
-      };
-      int seed = eng.rank_fenced(root) ? eng.lowest_alive() : root;
-      resil::fault_point(resil::Site::kCollFold, r);
-      std::memcpy(dst, slice_of(seed), cnt * sizeof(T));
+  const std::size_t line_elems = kCacheLine / sizeof(T);
+  const std::size_t per =
+      div_ceil(div_ceil(n, static_cast<std::size_t>(m)), line_elems) *
+      line_elems;
+  auto lo = [&](int w) {
+    return std::min(n, static_cast<std::size_t>(
+                           peer[static_cast<std::size_t>(w)].blk) * per);
+  };
+  auto nchunks = [&](int w) {
+    return div_ceil(std::min(n, lo(w) + per) - lo(w), ce);
+  };
+  auto chunk_len = [&](int w, std::uint64_t j) {
+    std::size_t first = lo(w) + static_cast<std::size_t>(j) * ce;
+    return std::min(ce, std::min(n, lo(w) + per) - first);
+  };
+  auto lane = [&](int w, int o, std::uint64_t j) {
+    return cw.payload(w) +
+           (static_cast<std::size_t>(o) * kLaneBufs + j % kLaneBufs) * sub;
+  };
+
+  const bool in_direct = bytes > 0 && arena.contains(in, bytes);
+  const bool want = all || r == root;  // Our `out` is significant.
+  const bool peers_read = all || r != root;
+  const auto* ib = reinterpret_cast<const std::byte*>(in);
+  const auto* ob = reinterpret_cast<const std::byte*>(out);
+  const bool alias = want && bytes > 0 && ib < ob + bytes && ob < ib + bytes;
+  const bool out_direct = want && peers_read && !alias && bytes > 0 &&
+                          arena.contains(out, bytes);
+  const bool fold_to_out = want && !alias && (out_direct || !peers_read);
+  cw.open_reduce(r, epoch, in_direct ? arena.offset_of(in) : shm::kNil,
+                 out_direct ? arena.offset_of(out) : shm::kNil);
+
+  // A source slice of chunk j of our block, or nullptr until it is there.
+  const std::size_t my_lo = lo(r);
+  const std::uint64_t my_chunks = nchunks(r);
+  auto slice = [&](int w, std::uint64_t j) -> const T* {
+    std::size_t first = my_lo + static_cast<std::size_t>(j) * ce;
+    if (w == r) return in + first;
+    const Peer& pw = peer[static_cast<std::size_t>(w)];
+    if (!pw.open) return nullptr;
+    if (pw.src != nullptr)
+      return reinterpret_cast<const T*>(pw.src) + first;
+    if (cw.lane_chunks(w, r) <= j) return nullptr;
+    return reinterpret_cast<const T*>(lane(w, r, j));
+  };
+
+  std::uint64_t folded = 0;  // Our block's chunks folded and published.
+  std::size_t next = 0;      // Position in `order` within chunk `folded`.
+  std::uint32_t spins = 0;
+  bool stalled = false;
+  // Any survivor can be the one this loop waits on.
+  resil::WaitGuard guard = eng.make_guard(resil::Site::kCollDoorbell, -1);
+  try {
+    for (;;) {
+      bool advanced = false, done = true;
       for (int w = 0; w < p; ++w) {
-        if (w == seed || eng.rank_fenced(w)) continue;
-        fold_chunk(eng, op, dst, slice_of(w), cnt);
+        Peer& pw = peer[static_cast<std::size_t>(w)];
+        if (w == r || pw.blk < 0 || pw.open || !cw.ready(w, epoch, 0))
+          continue;
+        const coll::SlotHeader* h = cw.header(w);
+        pw.src = h->src_off != shm::kNil ? arena.at(h->src_off) : nullptr;
+        pw.res = h->dst_off != shm::kNil ? arena.at(h->dst_off) : nullptr;
+        pw.open = true;
       }
-      if (stage_result && want_result)
-        std::memcpy(out + first, dst, cnt * sizeof(T));
+      // Writer: stage each owner's block through its lane of our slot.
+      for (int o = 0; !in_direct && o < p; ++o) {
+        Peer& po = peer[static_cast<std::size_t>(o)];
+        if (o == r || po.blk < 0) continue;
+        const std::uint64_t total = nchunks(o);
+        while (po.dep < total &&
+               (po.dep < kLaneBufs ||
+                cw.ready(o, epoch, po.dep - kLaneBufs + 1))) {
+          const std::size_t cnt = chunk_len(o, po.dep);
+          trace::Span dsp(eng.tracer(), trace::kCollDeposit,
+                          trace::Mode::kRings, po.dep, cnt * sizeof(T));
+          resil::fault_point(resil::Site::kCollDeposit, r);
+          std::memcpy(lane(r, o, po.dep),
+                      in + lo(o) + static_cast<std::size_t>(po.dep) * ce,
+                      cnt * sizeof(T));
+          cw.publish_lane(r, o, ++po.dep);
+          advanced = true;
+        }
+        done = done && po.dep == total;
+      }
+      // Owner: fold our block chunk by chunk, in oracle order.
+      while (folded < my_chunks) {
+        const std::size_t cnt = chunk_len(r, folded);
+        T* dst = fold_to_out
+                     ? out + my_lo + static_cast<std::size_t>(folded) * ce
+                     : reinterpret_cast<T*>(lane(r, r, folded));
+        if (next == 0 && !fold_to_out && folded >= kLaneBufs) {
+          // Result sub-buffer reuse: every reader copied chunk folded-2.
+          bool free = true;
+          for (int x = 0; x < p && free; ++x) {
+            const Peer& px = peer[static_cast<std::size_t>(x)];
+            if (x == r || px.blk < 0 || !(all || x == root)) continue;
+            free = px.open &&
+                   cw.block_acked(x, r) >= folded - kLaneBufs + 1;
+          }
+          if (!free) break;
+        }
+        const T* s = slice(order[next], folded);
+        if (s == nullptr) break;
+        {
+          trace::Span fsp(eng.tracer(), trace::kCollFold, trace::Mode::kRings,
+                          folded, cnt * sizeof(T));
+          if (next == 0) {
+            resil::fault_point(resil::Site::kCollFold, r);
+            std::memcpy(dst, s, cnt * sizeof(T));
+            ++next;
+          }
+          while (next < order.size() &&
+                 (s = slice(order[next], folded)) != nullptr) {
+            fold_chunk(eng, op, dst, s, cnt);
+            ++next;
+          }
+        }
+        advanced = true;
+        if (next < order.size()) break;
+        if (want && !fold_to_out)
+          std::memcpy(out + my_lo + static_cast<std::size_t>(folded) * ce,
+                      dst, cnt * sizeof(T));
+        next = 0;
+        cw.publish_chunks(r, ++folded);
+      }
+      done = done && folded == my_chunks;
+      // Reader: copy the other blocks as their owners publish them.
+      for (int k = 1; want && k < p; ++k) {
+        const int q = (r + k) % p;
+        Peer& pq = peer[static_cast<std::size_t>(q)];
+        if (pq.blk < 0) continue;
+        const std::uint64_t total = nchunks(q);
+        while (pq.got < total && pq.open &&
+               cw.ready(q, epoch, pq.got + 1)) {
+          const std::size_t first =
+              lo(q) + static_cast<std::size_t>(pq.got) * ce;
+          const std::size_t cnt = chunk_len(q, pq.got);
+          trace::Span rsp(eng.tracer(), trace::kCollRelease,
+                          trace::Mode::kRings, pq.got, cnt * sizeof(T));
+          const std::byte* src =
+              pq.res != nullptr ? pq.res + first * sizeof(T)
+                                : lane(q, q, pq.got);
+          std::memcpy(out + first, src, cnt * sizeof(T));
+          ++pq.got;
+          if (pq.res == nullptr) cw.ack_block(r, q, pq.got);
+          advanced = true;
+        }
+        done = done && pq.got == total;
+      }
+      if (done) break;
+      if (!advanced) {
+        if (!stalled) {
+          eng.counters().coll_epoch_stalls++;
+          if (trace::on())
+            eng.tracer().emit(trace::kEpochStall, trace::kInstant);
+          stalled = true;
+        }
+        if ((++spins & 0x3F) == 0) {
+          eng.progress();
+          guard.check();
+          std::this_thread::yield();
+        }
+      }
     }
-    cw.publish_chunks(r, t + 1);  // Chunk t folded (and published).
+  } catch (const resil::PeerDeadError& e) {
+    eng.peer_death_fence(e);
+    throw;
   }
-  // Final handshake: readers consumed the last result chunk, pure writers
-  // saw the final doorbell — every direct operand and our own slot are now
-  // dead for this epoch.
+  // Done handshake: once every survivor has finished all three roles,
+  // nobody reads our operand, our result block or our slot any more.
+  cw.set_ack(r, epoch, 1);
   for (int w = 0; w < p; ++w)
-    if (w != r && !eng.rank_fenced(w))
-      spin_until(eng, resil::Site::kCollAck, w,
-                 [&] { return cw.acked(w, epoch, rounds); });
+    if (w != r && peer[static_cast<std::size_t>(w)].blk >= 0)
+      spin_until_quiet(eng, resil::Site::kCollAck, w,
+                       [&] { return cw.acked(w, epoch, 1); });
 }
 
 template <typename T>
@@ -1254,14 +1324,9 @@ void Comm::reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
   Engine& eng = engine_;
   CollScope obs(eng, all ? trace::kOpAllreduce : trace::kOpReduce,
                 n * sizeof(T));
-  // The pipelined fold tags reader acks per sub-chunk (and pure writers ack
-  // the final chunk count), so the staged-bcast ack chunk budget gates the
-  // shm path for reduce exactly as it does for bcast.
+  // Every writer's slot must give each owner a lane of kLaneBufs lines.
   std::size_t need =
-      eng.coll_view().valid() &&
-              ack_budget_ok(eng.coll_view().slot_bytes(), n * sizeof(T))
-          ? kCacheLine
-          : SIZE_MAX;
+      kLaneBufs * static_cast<std::size_t>(size()) * kCacheLine;
   std::uint64_t cs = next_coll_seq(eng);
   // Hierarchical two-level schedule: auto mode, enough synthetic nodes, and
   // (for reduce) root 0 — the chain fold reproduces the flat ascending

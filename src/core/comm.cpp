@@ -111,7 +111,6 @@ Config apply_env(Config cfg) {
   cfg.numa_placement = shm::numa_placement_from_env(cfg.numa_placement);
   cfg.coll = coll::mode_from_env(cfg.coll);
   if (auto v = tune::coll_slot_bytes_from_env()) cfg.coll_slot_bytes = *v;
-  cfg.coll_leader = coll::leader_from_env(cfg.coll_leader, cfg.nranks);
   cfg.mode = world_mode_from_env(cfg.mode);
   if (auto v = nemo::Config::str("NEMO_CMA")) {
     if (*v == "off" || *v == "0" || *v == "false") {
@@ -265,26 +264,6 @@ World::World(Config cfg)
         numa_mode_ == shm::NumaPlacement::kInterleave)
       shm::interleave(arena_.at(coll_off_),
                       coll::WorldColl::region_bytes(cfg_.nranks, coll_slot));
-  }
-
-  // Reduction leader: the rank whose NUMA node backs the plurality of
-  // ranks. Each rank's node comes from its pinned core when bound; unbound
-  // ranks fall back to the recorded ring-placement decision for one of
-  // their pairs (computed even when mbind never ran, so the choice stays
-  // deterministic and testable on single-node hosts).
-  if (cfg_.coll_leader >= 0) {
-    coll_leader_ = cfg_.coll_leader;
-  } else if (cfg_.nranks > 1) {
-    std::vector<int> node_of_rank(static_cast<std::size_t>(cfg_.nranks), -1);
-    for (int r = 0; r < cfg_.nranks; ++r) {
-      int core = core_of(r);
-      if (core >= 0 && core < topo_.num_cores)
-        node_of_rank[static_cast<std::size_t>(r)] = topo_.numa_node_of(core);
-      else
-        node_of_rank[static_cast<std::size_t>(r)] =
-            ring_placement(r, (r + 1) % cfg_.nranks).node;
-    }
-    coll_leader_ = coll::choose_leader(node_of_rank);
   }
 
   std::uint64_t shared_state_begin = arena_.alloc(8, kCacheLine);
@@ -456,7 +435,6 @@ Engine::Engine(World& world, int rank)
   on_death_ = world.on_peer_death();
   fenced_.assign(static_cast<std::size_t>(world.nranks()), 0);
   tombstoned_.assign(static_cast<std::size_t>(world.nranks()), 0);
-  effective_leader_ = world.coll_leader();
   if (live_.valid()) live_.beat(rank_);  // Stamp 0 means "never started".
   backends_.resize(5);
   int n = world.nranks();
@@ -1265,8 +1243,6 @@ int Engine::lowest_alive() const {
   return 0;
 }
 
-int Engine::effective_coll_leader() const { return effective_leader_; }
-
 void Engine::reclaim_fenced() noexcept {
   if (!coll_.valid()) return;
   for (int r = 0; r < nranks(); ++r) {
@@ -1339,17 +1315,6 @@ void Engine::peer_death_fence(int dead_rank, resil::Site site,
   poll_order_.erase(
       std::remove(poll_order_.begin(), poll_order_.end(), dead_rank),
       poll_order_.end());
-
-  // Shrink the leader choice to the survivor set — degrade mode only.
-  // Abort mode keeps the configured schedule so the next wait involving
-  // the dead leader fails fast on its sticky dead flag.
-  if (on_death_ == resil::OnPeerDeath::kDegrade) {
-    int lead = world_.coll_leader();
-    if (lead >= 0 && lead < nranks() &&
-        fenced_[static_cast<std::size_t>(lead)] != 0)
-      lead = lowest_alive();
-    effective_leader_ = lead;
-  }
 
   if (trace::on()) tracer_.emit(trace::kFence, trace::kEnd);
 }

@@ -110,11 +110,6 @@ struct Config {
   /// Per-rank collective-arena slot capacity. 0 = the tuning table's
   /// coll_slot_bytes (NEMO_COLL_SLOT_BYTES overrides either).
   std::size_t coll_slot_bytes = 0;
-  /// Combining leader for shm reduce/allreduce. -1 = auto: the rank on the
-  /// NUMA node backing the plurality of ranks (coll::choose_leader over the
-  /// core binding / recorded ring placements; rank 0 on single-node hosts).
-  /// NEMO_COLL_LEADER overrides.
-  int coll_leader = -1;
 
   /// Model I/OAT presence (the software DMA channel).
   bool dma_available = true;
@@ -212,9 +207,6 @@ class World {
   [[nodiscard]] std::uint64_t coll_off() const { return coll_off_; }
   /// Effective collective path mode after env resolution.
   [[nodiscard]] coll::Mode coll_mode() const { return cfg_.coll; }
-  /// The shm reduce/allreduce combining leader (env > Config > NUMA-derived;
-  /// see Config::coll_leader).
-  [[nodiscard]] int coll_leader() const { return coll_leader_; }
 
   /// Effective NUMA placement mode after env resolution.
   [[nodiscard]] shm::NumaPlacement numa_mode() const { return numa_mode_; }
@@ -289,7 +281,6 @@ class World {
   shm::NumaPlacement numa_mode_ = shm::NumaPlacement::kFirstTouch;
   std::vector<RingPlacement> ring_place_;
   std::uint64_t coll_off_ = shm::kNil;
-  int coll_leader_ = 0;
   std::uint64_t knem_off_ = 0;
   std::uint64_t pid_table_off_ = 0;
   std::uint64_t barrier_off_ = 0;
@@ -401,8 +392,8 @@ class Engine {
   /// wait depends on, or -1 when any peer could unblock it.
   [[nodiscard]] resil::WaitGuard make_guard(resil::Site site, int watch);
   /// Local epoch fence for a death verdict: quiesce in-flight ops involving
-  /// the dead rank, tombstone its arena cells, re-pick the collective leader
-  /// over the survivor set, bump counters, and emit the trace events.
+  /// the dead rank, stop polling its fastboxes, bump counters, and emit the
+  /// trace events (its arena cells are tombstoned later, by fence_world).
   /// Idempotent per dead rank; never throws.
   void peer_death_fence(int dead_rank, resil::Site site,
                         bool from_timeout) noexcept;
@@ -422,11 +413,8 @@ class Engine {
     return on_death_ == resil::OnPeerDeath::kDegrade && fenced_count_ > 0;
   }
   /// Lowest rank this engine still considers alive (the degraded-mode
-  /// coordinator / fallback leader).
+  /// coordinator / fallback reduce seed).
   [[nodiscard]] int lowest_alive() const;
-  /// The shm reduce/allreduce leader over the survivor set: the configured
-  /// leader until it dies, then the lowest alive rank.
-  [[nodiscard]] int effective_coll_leader() const;
   /// Tombstone every fenced rank's collective-arena cells. Only safe once
   /// no survivor can still be parked in the diverged epoch — i.e. from
   /// Comm::fence_world() after all fence flags are up. Idempotent per rank.
@@ -580,7 +568,6 @@ class Engine {
   std::vector<unsigned char> fenced_;  ///< Per-rank: death already fenced.
   std::vector<unsigned char> tombstoned_;  ///< Per-rank: cells reclaimed.
   int fenced_count_ = 0;
-  int effective_leader_ = 0;
 
   /// Reset the lock-step collective sequence counters to the fence's agreed
   /// floor (fence_world), restoring cross-rank counter agreement after
@@ -690,12 +677,13 @@ class Comm {
   /// Epoch fence after a peer death (NEMO_ON_PEER_DEATH=degrade): every
   /// surviving rank calls this once it has observed the PeerDeadError, and
   /// on return the world is usable again over the survivor set — the dead
-  /// rank's arena cells are tombstoned, the leader/coordinator choice has
-  /// shrunk to the survivors, and the lock-step collective sequence counters
-  /// are resynchronised to a jointly agreed floor (each survivor may have
-  /// abandoned a different number of in-flight rounds). No-op when nobody
-  /// is dead. Bounded like any other wait: a second death during the fence
-  /// throws PeerDeadError and the fence is re-run after catching it.
+  /// rank's arena cells are tombstoned, the coordinator choice and the
+  /// reduce blocks have shrunk to the survivors, and the lock-step
+  /// collective sequence counters are resynchronised to a jointly agreed
+  /// floor (each survivor may have abandoned a different number of
+  /// in-flight rounds). No-op when nobody is dead. Bounded like any other
+  /// wait: a second death during the fence throws PeerDeadError and the
+  /// fence is re-run after catching it.
   void fence_world();
 
  private:

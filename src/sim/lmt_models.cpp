@@ -495,8 +495,8 @@ LmtModels::CollOutcome LmtModels::bcast_coll(bool shm,
 
 LmtModels::CollOutcome LmtModels::allreduce_coll(bool shm,
                                                  const std::vector<int>& cores,
-                                                 std::size_t bytes, int iters,
-                                                 std::size_t slot_bytes) {
+                                                 std::size_t bytes,
+                                                 int iters) {
   int n = static_cast<int>(cores.size());
   NEMO_ASSERT(n >= 2);
   reset();
@@ -505,14 +505,13 @@ LmtModels::CollOutcome LmtModels::allreduce_coll(bool shm,
     in.push_back(alloc_.alloc(bytes));
     out.push_back(alloc_.alloc(bytes));
   }
-  std::uint64_t slot = alloc_.alloc(slot_bytes);  // Leader staging region.
-
   CollOutcome out_c;
   // Per-operand combine cost on the folding core: the memory-system part is
   // charged by the copy/touch models below; this is the ALU chain, divided
   // by the fold kernel's lane width (Options::fold_lanes).
-  double alu_ns = opt_.fold_ns_per_byte * static_cast<double>(bytes) /
-                  std::max(1.0, opt_.fold_lanes);
+  double alu_ns_per_byte =
+      opt_.fold_ns_per_byte / std::max(1.0, opt_.fold_lanes);
+  double alu_ns = alu_ns_per_byte * static_cast<double>(bytes);
   double round_ns = 0;
   auto one_round = [&](bool count_copies) {
     round_ns = 0;
@@ -548,40 +547,46 @@ LmtModels::CollOutcome LmtModels::allreduce_coll(bool shm,
       round_ns = gather_ns + bcast_ns;
       return;
     }
-    // Arena v2 pipelined fold: writers deposit sub-chunks concurrently
-    // (contended), the leader combines every operand in ascending rank
-    // order, readers stream the folded chunks out behind the fold. Deposit,
-    // fold, and read-back overlap chunk-wise, so the round costs
-    // max(deposit, fold, read) plus one sub-chunk of fill latency at each
-    // pipeline boundary — not their sum (PR 4's serialized-fold model).
-    std::size_t sub = std::max<std::size_t>(slot_bytes / 4, 64);
+    // Owner-computes arena path (operands and results arena-resident, as
+    // an MPI_Alloc_mem user has them): core i seeds and folds block i of
+    // the vector — 1/n of every operand — then copies the n-1 peer blocks
+    // out of their owners' results, starting at peer i+1. All n cores
+    // stream concurrently (contended); a core's reads follow its own fold,
+    // so the round is the slowest core's fold + read time.
+    std::size_t blk = bytes / static_cast<std::size_t>(n);
+    auto block = [&](int k) {
+      std::size_t off = static_cast<std::size_t>(k) * blk;
+      return std::pair{off, k == n - 1 ? bytes - off : blk};
+    };
     double contention =
-        1.0 + opt_.contention_per_flow * (static_cast<double>(n - 1) - 1.0);
-    double deposit_ns = 0;
-    for (int w = 1; w < n; ++w) {
-      Cost c = mem_.copy(cores[static_cast<std::size_t>(w)], slot,
-                         in[static_cast<std::size_t>(w)], bytes);
-      deposit_ns = std::max(deposit_ns, c.cache_ns + c.mem_ns * contention);
-      if (count_copies) out_c.copy_bytes += bytes;
+        1.0 + opt_.contention_per_flow * (static_cast<double>(n) - 1.0);
+    std::vector<double> core_ns(static_cast<std::size_t>(n), 0.0);
+    for (int i = 0; i < n; ++i) {
+      auto [off, len] = block(i);
+      double alu = alu_ns_per_byte * static_cast<double>(len);
+      // w == 0 seeds the block with the root's slice (pure copy, no
+      // combine); the rest fold in ascending rank order.
+      for (int w = 0; w < n; ++w) {
+        Cost c = mem_.copy(cores[static_cast<std::size_t>(i)],
+                           out[static_cast<std::size_t>(i)] + off,
+                           in[static_cast<std::size_t>(w)] + off, len);
+        core_ns[static_cast<std::size_t>(i)] +=
+            c.cache_ns + c.mem_ns * contention + (w == 0 ? 0.0 : alu);
+      }
+      if (count_copies) out_c.copy_bytes += len;
     }
-    double fold_ns = 0;
-    for (int w = 0; w < n; ++w) {
-      Cost c = mem_.copy(cores[0], out[0], w == 0 ? in[0] : slot, bytes);
-      // w == 0 seeds out with the leader's operand (pure copy, no combine).
-      fold_ns += c.total() + (w == 0 ? 0.0 : alu_ns);
-    }
-    if (count_copies) out_c.copy_bytes += bytes;  // Leader's result chunks.
-    double read_ns = 0;
-    for (int i = 1; i < n; ++i) {
-      Cost c = mem_.copy(cores[static_cast<std::size_t>(i)],
-                         out[static_cast<std::size_t>(i)], slot, bytes);
-      read_ns = std::max(read_ns, c.cache_ns + c.mem_ns * contention);
-      if (count_copies) out_c.copy_bytes += bytes;
-    }
-    double chunk_ns =
-        (deposit_ns + fold_ns + read_ns) *
-        (static_cast<double>(sub) / static_cast<double>(std::max(bytes, sub)));
-    round_ns = std::max({deposit_ns, fold_ns, read_ns}) + 2 * chunk_ns;
+    for (int i = 0; i < n; ++i)
+      for (int k = 1; k < n; ++k) {
+        int q = (i + k) % n;
+        auto [off, len] = block(q);
+        Cost c = mem_.copy(cores[static_cast<std::size_t>(i)],
+                           out[static_cast<std::size_t>(i)] + off,
+                           out[static_cast<std::size_t>(q)] + off, len);
+        core_ns[static_cast<std::size_t>(i)] +=
+            c.cache_ns + c.mem_ns * contention;
+        if (count_copies) out_c.copy_bytes += len;
+      }
+    round_ns = *std::max_element(core_ns.begin(), core_ns.end());
   };
 
   one_round(true);

@@ -54,7 +54,7 @@ class LmtModels {
     /// ALU cost of the reduction combine per operand byte for a one-lane
     /// scalar fold (dependent load-op-store chain, not peak FLOPs).
     double fold_ns_per_byte = 0.12;
-    /// Effective lanes of the leader's fold kernel (1 = scalar, 4 = AVX2
+    /// Effective lanes of the fold kernel (1 = scalar, 4 = AVX2
     /// f64, 8 = AVX-512 f64). Divides the ALU term only — the memory side
     /// of the fold is width-independent, which is why wide kernels saturate
     /// against the deposit stream instead of scaling linearly.
@@ -104,14 +104,11 @@ class LmtModels {
   CollOutcome alltoall_coll(bool shm, const std::vector<int>& cores,
                             std::size_t per_pair, int iters = 3);
   /// Allreduce replay: the p2p family is the linear gather-fold at rank 0
-  /// plus a binomial result bcast; the shm family is the arena-v2 pipelined
-  /// fold (concurrent sub-chunk deposits overlapped with the leader's
-  /// ascending-rank combine, result chunks streamed to the readers behind
-  /// the fold — modelled as max(deposit, fold) + one sub-chunk of fill
-  /// latency each side rather than their sum).
+  /// plus a binomial result bcast; the shm family is the owner-computes
+  /// schedule over arena-resident buffers (each core seeds and folds 1/n
+  /// of the vector, then copies the n-1 peer blocks; n·bytes copied).
   CollOutcome allreduce_coll(bool shm, const std::vector<int>& cores,
-                             std::size_t bytes, int iters = 3,
-                             std::size_t slot_bytes = 256 * KiB);
+                             std::size_t bytes, int iters = 3);
   /// Barrier replay in nanoseconds per round: flat = the root polls n-1
   /// remote arrival lines sequentially + one release line; tree = each
   /// level's parents poll k child lines concurrently, depth ceil(log_k n)

@@ -1,9 +1,9 @@
-// Arena-barrier scheduling (flat vs k-ary tree) and NUMA-aware reduction
-// leader choice — the collective-arena v2 surfaces. The barrier cross-check
-// runs both schedules at 2/8/16/33 ranks against a shared phase counter
-// (the strongest observable property of a barrier: nobody enters round i+1
+// Arena-barrier scheduling (flat vs k-ary tree), the NUMA-aware node-leader
+// choice and the every-root shm reduce. The barrier cross-check runs both
+// schedules at 2/8/16/33 ranks against a shared phase counter (the
+// strongest observable property of a barrier: nobody enters round i+1
 // before everyone finished round i), plus a 16-rank storm; leader choice is
-// unit-tested on synthetic NUMA maps and end-to-end through World.
+// unit-tested on synthetic NUMA maps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -154,7 +154,7 @@ TEST(BarrierSchedule, AutoSelectsBySizeThreshold) {
 }
 
 // ---------------------------------------------------------------------------
-// NUMA-aware leader choice.
+// NUMA-aware leader choice (the hierarchical collectives' node leaders).
 // ---------------------------------------------------------------------------
 
 TEST(CollLeader, PluralityNodeWinsTiesToLowerNode) {
@@ -172,77 +172,38 @@ TEST(CollLeader, PluralityNodeWinsTiesToLowerNode) {
   EXPECT_EQ(coll::choose_leader({-1, 2, 2, 0}), 1);
 }
 
-TEST(CollLeader, WorldDerivesLeaderFromSyntheticNumaBinding) {
-  // e5345 synthesizes one NUMA node per socket (cores 0-3 -> node 0,
-  // 4-7 -> node 1). Three of four ranks bound to socket 1: rank 1 leads.
-  Config cfg;
-  cfg.nranks = 4;
-  cfg.topo = xeon_e5345();
-  cfg.core_binding = {0, 4, 5, 6};
-  World w(cfg);
-  EXPECT_EQ(w.coll_leader(), 1);
-
-  // All ranks on one socket: the single-node fallback picks rank 0.
-  Config cfg0;
-  cfg0.nranks = 4;
-  cfg0.topo = xeon_e5345();
-  cfg0.core_binding = {0, 1, 2, 3};
-  World w0(cfg0);
-  EXPECT_EQ(w0.coll_leader(), 0);
-}
-
-TEST(CollLeader, EnvOverrideAndValidation) {
-  ::setenv("NEMO_COLL_LEADER", "2", 1);
-  Config cfg;
-  cfg.nranks = 4;
-  World w(cfg);
-  EXPECT_EQ(w.coll_leader(), 2);
-  // Out-of-range or junk fails loudly instead of silently redirecting the
-  // fold.
-  ::setenv("NEMO_COLL_LEADER", "4", 1);
-  EXPECT_THROW(World{cfg}, std::invalid_argument);
-  ::setenv("NEMO_COLL_LEADER", "banana", 1);
-  EXPECT_THROW(World{cfg}, std::invalid_argument);
-  ::unsetenv("NEMO_COLL_LEADER");
-}
-
-TEST(CollLeader, ReduceCorrectUnderEveryLeader) {
-  // The fold must be leader-invariant: same results whether the leader is
-  // the root, another rank, or env-pinned — across reduce roots and
-  // allreduce, with operands spanning several sub-chunks.
+TEST(CollReduce, EveryRootOddSizeMatchesOracle) {
+  // Owner-computes reduce over an odd-sized world and an element count
+  // that is neither a cacheline nor a sub-chunk multiple: every root must
+  // get the exact sum, and the allreduce that follows every rank's max.
   coll::ScopedForcedMode forced(coll::Mode::kShm);
-  for (int leader = 0; leader < 3; ++leader) {
-    Config cfg;
-    cfg.nranks = 3;
-    cfg.coll = coll::Mode::kShm;
-    cfg.coll_slot_bytes = 16 * KiB;  // Doubles: 512-elem sub-chunks.
-    cfg.coll_leader = leader;
-    cfg.shared_pool_bytes = 8 * MiB;
-    run(cfg, [&](Comm& comm) {
-      int n = comm.size();
-      const std::size_t kN = 5000;  // ~10 sub-chunks.
-      std::vector<double> in(kN), out(kN, -1);
-      for (std::size_t i = 0; i < kN; ++i)
-        in[i] = static_cast<double>(comm.rank()) + static_cast<double>(i);
-      for (int root = 0; root < n; ++root) {
-        comm.reduce_f64(in.data(), out.data(), kN, Comm::ReduceOp::kSum,
-                        root);
-        if (comm.rank() == root) {
-          for (std::size_t i = 0; i < kN; i += 501)
-            ASSERT_DOUBLE_EQ(out[i], n * (n - 1) / 2.0 +
-                                         static_cast<double>(n) *
-                                             static_cast<double>(i))
-                << "leader " << leader << " root " << root;
-        }
+  Config cfg;
+  cfg.nranks = 3;
+  cfg.coll = coll::Mode::kShm;
+  cfg.coll_slot_bytes = 16 * KiB;  // Doubles: 336-elem sub-chunks.
+  cfg.shared_pool_bytes = 8 * MiB;
+  run(cfg, [&](Comm& comm) {
+    int n = comm.size();
+    const std::size_t kN = 5001;  // Several sub-chunks per block.
+    std::vector<double> in(kN), out(kN, -1);
+    for (std::size_t i = 0; i < kN; ++i)
+      in[i] = static_cast<double>(comm.rank()) + static_cast<double>(i);
+    for (int root = 0; root < n; ++root) {
+      comm.reduce_f64(in.data(), out.data(), kN, Comm::ReduceOp::kSum, root);
+      if (comm.rank() == root) {
+        for (std::size_t i = 0; i < kN; ++i)
+          ASSERT_DOUBLE_EQ(out[i], n * (n - 1) / 2.0 +
+                                       static_cast<double>(n) *
+                                           static_cast<double>(i))
+              << "root " << root << " elem " << i;
       }
-      std::vector<double> mx(kN);
-      comm.allreduce_f64(in.data(), mx.data(), kN, Comm::ReduceOp::kMax);
-      for (std::size_t i = 0; i < kN; i += 501)
-        ASSERT_DOUBLE_EQ(mx[i],
-                         static_cast<double>(n - 1) + static_cast<double>(i))
-            << "leader " << leader;
-    });
-  }
+    }
+    std::vector<double> mx(kN);
+    comm.allreduce_f64(in.data(), mx.data(), kN, Comm::ReduceOp::kMax);
+    for (std::size_t i = 0; i < kN; ++i)
+      ASSERT_DOUBLE_EQ(mx[i],
+                       static_cast<double>(n - 1) + static_cast<double>(i));
+  });
 }
 
 }  // namespace

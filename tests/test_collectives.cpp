@@ -1,11 +1,17 @@
 // Collectives across LMT backends and rank counts, including non-power-of-two
 // worlds and the large-message alltoall(v) paths Figure 7 depends on.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -560,6 +566,248 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::to_string(info.param.nranks) + "ranks_" +
              coll::to_string(info.param.mode);
+    });
+
+// ---------------------------------------------------------------------------
+// Owner-computes reduce bit-identity matrix: every op x element type x size
+// x reduce root x per-rank mix of arena-resident (direct) and private
+// (staged) operands and results, plus in-place calls on arena buffers, run
+// once under forced p2p (the oracle) and once under forced shm, compared
+// with memcmp. Runs in both world modes; results travel through a
+// MAP_SHARED mapping so forked ranks report to the parent's gtest.
+// ---------------------------------------------------------------------------
+
+struct ReduceMatrixParam {
+  int nranks;
+  LaunchMode mode;
+};
+
+enum class Mix { kStaged, kDirect, kEven, kOdd };
+
+bool mix_direct(Mix m, int rank) {
+  switch (m) {
+    case Mix::kStaged: return false;
+    case Mix::kDirect: return true;
+    case Mix::kEven: return rank % 2 == 0;
+    case Mix::kOdd: return rank % 2 == 1;
+  }
+  return false;
+}
+
+struct ReduceCase {
+  int type;  ///< 0 f64, 1 f32, 2 i64, 3 i32.
+  Comm::ReduceOp op;
+  std::size_t n;
+  int root;  ///< -1 = allreduce.
+  Mix in, out;
+  bool in_place;  ///< in == out, one arena buffer (shm pass only).
+  std::size_t off = 0;  ///< Oracle bytes in the shared result map.
+};
+
+constexpr std::size_t kTypeBytes[] = {8, 4, 8, 4};
+
+std::string describe(const ReduceCase& c) {
+  static const char* kTypes[] = {"f64", "f32", "i64", "i32"};
+  static const char* kOps[] = {"sum", "prod", "min", "max"};
+  static const char* kMixes[] = {"staged", "direct", "even", "odd"};
+  return std::string(kTypes[c.type]) + " " +
+         kOps[static_cast<int>(c.op)] + " n=" + std::to_string(c.n) +
+         (c.root < 0 ? " allreduce"
+                     : " reduce root=" + std::to_string(c.root)) +
+         " in=" + kMixes[static_cast<int>(c.in)] +
+         " out=" + kMixes[static_cast<int>(c.out)] +
+         (c.in_place ? " in-place" : "");
+}
+
+/// Operands whose float folds are order-sensitive (mixed exponents) and
+/// whose integer folds cannot overflow over 8 ranks.
+template <typename T>
+T matrix_operand(Comm::ReduceOp op, int rank, std::size_t i) {
+  std::uint64_t h =
+      (i + 1) * 2654435761u + static_cast<std::uint64_t>(rank) * 40503u;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (op == Comm::ReduceOp::kProd)
+      return static_cast<T>(1.0 + static_cast<double>(h % 997) * 1e-4);
+    double mant = static_cast<double>(h % 1000003) / 1000003.0 - 0.5;
+    return static_cast<T>(std::ldexp(mant, static_cast<int>(h % 48) - 24));
+  } else {
+    if (op == Comm::ReduceOp::kProd)
+      return static_cast<T>(h % 5 == 0 ? -1 : 1 + static_cast<int>(h % 3));
+    return static_cast<T>(static_cast<std::int64_t>(h % 200001) - 100000);
+  }
+}
+
+class CollCrossReduce : public ::testing::TestWithParam<ReduceMatrixParam> {
+ protected:
+  static constexpr std::size_t kMaxBytes = 1 * MiB;
+
+  /// The fold's sub-chunk for this world (collectives.cpp lane_sub(): a
+  /// quarter slot, capped so every owner gets a two-deep lane).
+  static std::size_t lane_sub(int p) {
+    std::size_t sub = std::min<std::size_t>(
+        kTestSlot / 4, kTestSlot / (2 * static_cast<std::size_t>(p)));
+    return sub - sub % kCacheLine;
+  }
+
+  std::vector<ReduceCase> cases() const {
+    const int p = GetParam().nranks;
+    const std::pair<Mix, Mix> mixes[] = {
+        {Mix::kStaged, Mix::kStaged}, {Mix::kDirect, Mix::kDirect},
+        {Mix::kEven, Mix::kDirect},   {Mix::kOdd, Mix::kDirect},
+        {Mix::kDirect, Mix::kEven},   {Mix::kDirect, Mix::kOdd},
+        {Mix::kEven, Mix::kStaged},   {Mix::kStaged, Mix::kOdd}};
+    const Comm::ReduceOp ops[] = {Comm::ReduceOp::kSum, Comm::ReduceOp::kProd,
+                                  Comm::ReduceOp::kMin, Comm::ReduceOp::kMax};
+    std::vector<ReduceCase> v;
+    std::size_t k = 0;
+    for (int type = 0; type < 4; ++type) {
+      const std::size_t esz = kTypeBytes[type];
+      const std::size_t ce = lane_sub(p) / esz;
+      const auto pn = static_cast<std::size_t>(p);
+      std::vector<std::size_t> sizes = {1,         pn - 1,     1001,
+                                        ce - 1,    ce,         ce + 1,
+                                        pn * ce - 1, pn * ce + 1,
+                                        2 * kTestSlot / esz + 3,
+                                        kMaxBytes / esz};
+      std::sort(sizes.begin(), sizes.end());
+      sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+      for (Comm::ReduceOp op : ops)
+        for (std::size_t n : sizes)
+          for (int root : {-1, static_cast<int>(k % pn)}) {
+            auto [in, out] = mixes[k++ % std::size(mixes)];
+            v.push_back({type, op, n, root, in, out, false});
+          }
+    }
+    // Every reduce root, at a size spanning several sub-chunks per block.
+    for (int root = 0; root < p; ++root)
+      for (int type : {0, 3}) {
+        auto [in, out] = mixes[k++ % std::size(mixes)];
+        v.push_back({type, Comm::ReduceOp::kSum,
+                     3 * kTestSlot / kTypeBytes[type] + 5, root, in, out,
+                     false});
+      }
+    // In place on arena buffers: allreduce and every reduce root.
+    for (std::size_t bytes : {std::size_t{8}, lane_sub(p) + 8,
+                              3 * kTestSlot + 40, kMaxBytes})
+      for (int root = -1; root < p; ++root)
+        v.push_back({root < 0 ? 0 : 1, Comm::ReduceOp::kSum,
+                     bytes / kTypeBytes[root < 0 ? 0 : 1], root, Mix::kDirect,
+                     Mix::kDirect, true});
+    std::size_t off = 0;
+    for (ReduceCase& c : v) {
+      c.off = off;
+      off += round_up(c.n * kTypeBytes[c.type], kCacheLine);
+    }
+    return v;
+  }
+
+  /// One world over every case: the p2p pass stores the oracle bytes, the
+  /// shm pass compares against them. Shared words: [0] mismatches, [1]
+  /// first mismatching case + 1, [2] shm-path fallbacks; results follow.
+  void run_pass(coll::Mode mode, const std::vector<ReduceCase>& cs,
+                std::byte* shared) {
+    coll::ScopedForcedMode forced(mode);
+    Config cfg;
+    cfg.nranks = GetParam().nranks;
+    cfg.mode = GetParam().mode;
+    cfg.coll = mode;
+    cfg.coll_slot_bytes = kTestSlot;
+    cfg.shared_pool_bytes =
+        2 * kMaxBytes * static_cast<std::size_t>(cfg.nranks) + 4 * MiB;
+    auto* words = reinterpret_cast<std::uint64_t*>(shared);
+    std::byte* oracle = shared + kCacheLine;
+    const bool check = mode == coll::Mode::kShm;
+    bool ok = run(cfg, [&](Comm& comm) {
+      const int me = comm.rank();
+      std::byte* arena_in = comm.shared_alloc(kMaxBytes);
+      std::byte* arena_out = comm.shared_alloc(kMaxBytes);
+      std::vector<std::byte> heap_in(kMaxBytes), heap_out(kMaxBytes);
+      std::uint64_t fb0 = comm.engine().counters().coll_fallbacks;
+      for (std::size_t i = 0; i < cs.size(); ++i) {
+        const ReduceCase& c = cs[i];
+        const std::size_t bytes = c.n * kTypeBytes[c.type];
+        std::byte* in = check && mix_direct(c.in, me) ? arena_in
+                                                      : heap_in.data();
+        std::byte* out = check && mix_direct(c.out, me) ? arena_out
+                                                        : heap_out.data();
+        if (check && c.in_place) in = out = arena_out;
+        std::memset(out, 0xA5, bytes);
+        auto go = [&](auto* typed_in) {
+          using T = std::remove_pointer_t<decltype(typed_in)>;
+          for (std::size_t e = 0; e < c.n; ++e)
+            typed_in[e] = matrix_operand<T>(c.op, me, e);
+          T* o = reinterpret_cast<T*>(out);
+          if constexpr (std::is_same_v<T, double>) {
+            if (c.root < 0) comm.allreduce_f64(typed_in, o, c.n, c.op);
+            else comm.reduce_f64(typed_in, o, c.n, c.op, c.root);
+          } else if constexpr (std::is_same_v<T, float>) {
+            if (c.root < 0) comm.allreduce_f32(typed_in, o, c.n, c.op);
+            else comm.reduce_f32(typed_in, o, c.n, c.op, c.root);
+          } else if constexpr (std::is_same_v<T, std::int64_t>) {
+            if (c.root < 0) comm.allreduce_i64(typed_in, o, c.n, c.op);
+            else comm.reduce_i64(typed_in, o, c.n, c.op, c.root);
+          } else {
+            if (c.root < 0) comm.allreduce_i32(typed_in, o, c.n, c.op);
+            else comm.reduce_i32(typed_in, o, c.n, c.op, c.root);
+          }
+        };
+        switch (c.type) {
+          case 0: go(reinterpret_cast<double*>(in)); break;
+          case 1: go(reinterpret_cast<float*>(in)); break;
+          case 2: go(reinterpret_cast<std::int64_t*>(in)); break;
+          default: go(reinterpret_cast<std::int32_t*>(in)); break;
+        }
+        if (c.root >= 0 && c.root != me) continue;  // No result here.
+        if (!check) {
+          if (me == (c.root < 0 ? 0 : c.root))
+            std::memcpy(oracle + c.off, out, bytes);
+        } else if (std::memcmp(oracle + c.off, out, bytes) != 0) {
+          std::atomic_ref<std::uint64_t>(words[0]).fetch_add(1);
+          std::uint64_t none = 0;
+          std::atomic_ref<std::uint64_t>(words[1])
+              .compare_exchange_strong(none, i + 1);
+        }
+      }
+      if (comm.engine().counters().coll_fallbacks != fb0)
+        std::atomic_ref<std::uint64_t>(words[2]).fetch_add(1);
+    });
+    ASSERT_TRUE(ok) << "a rank failed in the " << coll::to_string(mode)
+                    << " pass";
+  }
+};
+
+TEST_P(CollCrossReduce, ShmBitIdenticalToP2pOracle) {
+  const std::vector<ReduceCase> cs = cases();
+  std::size_t total = kCacheLine;
+  for (const ReduceCase& c : cs)
+    total += round_up(c.n * kTypeBytes[c.type], kCacheLine);
+  void* map = ::mmap(nullptr, total, PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(map, MAP_FAILED);
+  auto* shared = static_cast<std::byte*>(map);
+  run_pass(coll::Mode::kP2p, cs, shared);
+  run_pass(coll::Mode::kShm, cs, shared);
+  const auto* words = reinterpret_cast<const std::uint64_t*>(shared);
+  EXPECT_EQ(words[0], 0u) << "first mismatch: "
+                          << (words[1] > 0 ? describe(cs[words[1] - 1])
+                                           : std::string("-"));
+  EXPECT_EQ(words[2], 0u) << "the shm pass fell back to p2p";
+  ::munmap(map, total);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorldsAndModes, CollCrossReduce,
+    ::testing::Values(ReduceMatrixParam{2, LaunchMode::kThreads},
+                      ReduceMatrixParam{3, LaunchMode::kThreads},
+                      ReduceMatrixParam{4, LaunchMode::kThreads},
+                      ReduceMatrixParam{8, LaunchMode::kThreads},
+                      ReduceMatrixParam{2, LaunchMode::kProcesses},
+                      ReduceMatrixParam{3, LaunchMode::kProcesses},
+                      ReduceMatrixParam{4, LaunchMode::kProcesses},
+                      ReduceMatrixParam{8, LaunchMode::kProcesses}),
+    [](const auto& info) {
+      return std::to_string(info.param.nranks) + "ranks_" +
+             (info.param.mode == LaunchMode::kThreads ? "threads" : "procs");
     });
 
 // Auto mode routes by the tuned coll_activation crossover: sizes straddling

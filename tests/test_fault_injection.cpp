@@ -130,20 +130,12 @@ class FaultMatrix : public ::testing::TestWithParam<int> {};
 
 TEST_P(FaultMatrix, KillAtCollDeposit) {
   int n = GetParam();
-  // Victim must not be the fold leader (the leader never deposits).
-  Config probe;
-  probe.nranks = n;
-  probe.mode = LaunchMode::kProcesses;
-  probe.shm_name = test_shm_name();
-  int leader;
-  {
-    World w(probe);
-    leader = w.coll_leader();
-  }
-  int victim = leader == 2 ? 3 : 2;
+  // Every rank stages its private operand through the other owners' lanes,
+  // so any non-zero rank is a depositor.
+  int victim = 2;
   Scenario sc{"coll_deposit",
-              {Site::kCollDoorbell, Site::kCollAck, Site::kCollGather,
-               Site::kBarrierRelease, Site::kEngineWait}};
+              {Site::kCollDoorbell, Site::kCollAck, Site::kBarrierRelease,
+               Site::kEngineWait}};
   run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
                [](Comm& comm, int) {
                  std::vector<double> in(32 * 1024, 1.0), out(in.size());
@@ -155,19 +147,13 @@ TEST_P(FaultMatrix, KillAtCollDeposit) {
 
 TEST_P(FaultMatrix, KillAtCollFold) {
   int n = GetParam();
-  // The fold runs on the leader, so the leader is the victim.
-  Config probe;
-  probe.nranks = n;
-  probe.mode = LaunchMode::kProcesses;
-  probe.shm_name = test_shm_name();
-  int victim;
-  {
-    World w(probe);
-    victim = w.coll_leader();
-  }
+  // Every rank owns and folds a block of the vector, so any non-zero rank
+  // is a folder; every survivor reads the victim's block and must see it
+  // die.
+  int victim = 2;
   Scenario sc{"coll_fold",
-              {Site::kCollDoorbell, Site::kCollAck, Site::kCollGather,
-               Site::kBarrierRelease, Site::kEngineWait}};
+              {Site::kCollDoorbell, Site::kCollAck, Site::kBarrierRelease,
+               Site::kEngineWait}};
   run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
                [](Comm& comm, int) {
                  std::vector<double> in(32 * 1024, 1.0), out(in.size());
@@ -246,6 +232,8 @@ TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
   // Force the arena family: the degraded world's continuation story is the
   // shm fast path (the p2p algorithms would address the dead rank).
   cfg.coll = coll::Mode::kShm;
+  // 16 KiB slots over 4 ranks: 2 KiB lane sub-chunks (256 doubles).
+  cfg.coll_slot_bytes = 16 * KiB;
   std::string name = cfg.shm_name;
   {
     World world(cfg);
@@ -266,13 +254,32 @@ TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
             if (e.rank != kVictim) return kWrongRank;
           }
           comm.fence_world();
-          // The degraded world must still work, collectively.
+          // The degraded world must still work, collectively: an allreduce
+          // of 3 x 4096 doubles re-cut into one 16-sub-chunk block per
+          // survivor. Each survivor seeds its block and folds the other
+          // two survivors' slices into it — and nothing else.
           comm.barrier();
-          std::vector<double> in(4096, 1.0), out(in.size());
+          constexpr std::size_t kBlock = 4096;
+          constexpr int kSurvivors = kRanks - 1;
+          std::vector<double> in(kSurvivors * kBlock), out(in.size());
+          for (std::size_t i = 0; i < in.size(); ++i)
+            in[i] = static_cast<double>(rank) + static_cast<double>(i);
+          const tune::Counters& c = comm.engine().counters();
+          auto fold_bytes = [&] {
+            std::uint64_t b = 0;
+            for (std::uint64_t v : c.simd_fold_bytes) b += v;
+            return b;
+          };
+          std::uint64_t before = fold_bytes();
           comm.allreduce_f64(in.data(), out.data(), in.size(),
                              Comm::ReduceOp::kSum);
-          for (double v : out)
-            if (v != static_cast<double>(kRanks - 1)) return 25;
+          if (fold_bytes() - before !=
+              (kSurvivors - 1) * kBlock * sizeof(double))
+            return 26;  // Blocks not re-cut over the survivor set.
+          // Survivor-set oracle: ranks 0, 1 and 3.
+          for (std::size_t i = 0; i < out.size(); ++i)
+            if (out[i] != 4.0 + kSurvivors * static_cast<double>(i))
+              return 25;
           comm.barrier();
           return 0;
         },

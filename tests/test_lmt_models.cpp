@@ -190,6 +190,23 @@ TEST(Thresholds, SimCrossoverScalesWithCacheSize) {
   EXPECT_GE(x5460, e5345);
 }
 
+// --- Collective replays -----------------------------------------------------
+
+TEST(Coll, OwnerComputesAllreduceCopiesEachByteOncePerRank) {
+  // Owner-computes: the n owners' seed copies add up to one vector, and
+  // each of the n ranks copies the n-1 peer blocks — n·bytes in total.
+  std::vector<int> cores{0, 1, 2, 3};
+  LmtModels m(e5345_machine());
+  LmtModels::CollOutcome shm = m.allreduce_coll(true, cores, 1 * MiB, 2);
+  EXPECT_EQ(shm.copy_bytes, 4194304u);
+  LmtModels::CollOutcome p2p = m.allreduce_coll(false, cores, 1 * MiB, 2);
+  EXPECT_LT(shm.copy_bytes, p2p.copy_bytes);
+  EXPECT_GT(shm.mibs, p2p.mibs);
+  // Odd split: the last block takes the remainder, bytes stay exact.
+  std::vector<int> three{0, 1, 2};
+  EXPECT_EQ(m.allreduce_coll(true, three, 1000, 2).copy_bytes, 3000u);
+}
+
 TEST(Models, ThroughputPositiveAndFinite) {
   for (Strategy s :
        {Strategy::kDefault, Strategy::kVmsplice, Strategy::kVmspliceWritev,
