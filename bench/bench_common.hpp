@@ -18,6 +18,7 @@
 #include "core/comm.hpp"
 #include "shm/process_runner.hpp"
 #include "sim/lmt_models.hpp"
+#include "trace/registry.hpp"
 
 namespace nemo::bench {
 
@@ -58,18 +59,56 @@ inline void print_row(const std::string& name,
   std::printf("\n");
 }
 
-/// Measured pingpong between ranks 0 and 1 of a 2-rank world. Returns
-/// one-way MiB/s (IMB convention) as measured on rank 0. When `telemetry`
-/// is given (sized >= 2), each rank's engine counters are accumulated into
-/// its slot so the caller can dump a --telemetry JSON across runs.
-inline double real_pingpong_mibs(core::Config cfg, std::size_t bytes,
-                                 int iters = 30,
-                                 std::vector<tune::Counters>* telemetry =
-                                     nullptr) {
+/// The paths rank 0's timed messages took, from its path_hist delta:
+/// registry path names joined by "+" ("none" when nothing was sent). A row
+/// carries this, never the backend it asked for — a forced backend still
+/// sends messages up to the eager threshold eagerly.
+inline std::string path_label(const tune::Counters& before,
+                              const tune::Counters& after) {
+  std::string out;
+  for (int i = 0; i < tune::Counters::kPaths; ++i) {
+    auto si = static_cast<std::size_t>(i);
+    if (after.path_hist[si] == before.path_hist[si]) continue;
+    if (!out.empty()) out += "+";
+    out += trace::Registry::path_name(i);
+  }
+  return out.empty() ? "none" : out;
+}
+
+/// Print the path labels of one series row, runs of equal labels merged:
+/// "  path: eager-queue (64KiB), rndv-knem (128KiB-4MiB)".
+inline void print_paths(const std::vector<std::size_t>& sizes,
+                        const std::vector<std::string>& paths) {
+  std::string line = "  path:";
+  for (std::size_t i = 0; i < paths.size();) {
+    std::size_t j = i;
+    while (j + 1 < paths.size() && paths[j + 1] == paths[i]) ++j;
+    line.append(i == 0 ? " " : ", ").append(paths[i]).append(" (");
+    line.append(format_size(sizes[i]));
+    if (j > i) line.append("-").append(format_size(sizes[j]));
+    line.append(")");
+    i = j + 1;
+  }
+  std::printf("%s\n", line.c_str());
+}
+
+struct PingpongResult {
+  double mibs = 0;   ///< One-way MiB/s (IMB convention), rank 0's clock.
+  std::string path;  ///< path_label() of the timed loop.
+};
+
+/// Measured pingpong between ranks 0 and 1 of a 2-rank world, as measured
+/// on rank 0. When `telemetry` is given (sized >= 2), each rank's engine
+/// counters are accumulated into its slot so the caller can dump a
+/// --telemetry JSON across runs.
+inline PingpongResult real_pingpong(core::Config cfg, std::size_t bytes,
+                                    int iters = 30,
+                                    std::vector<tune::Counters>* telemetry =
+                                        nullptr) {
   cfg.nranks = 2;
   cfg.shared_pool_bytes = std::max<std::size_t>(cfg.shared_pool_bytes,
                                                 4 * bytes + 8 * MiB);
-  double result = 0;
+  PingpongResult result;
   core::run(cfg, [&](core::Comm& comm) {
     // Arena-resident buffers so the I/OAT-like path can stream directly
     // even in process mode (MPI_Alloc_mem analogue).
@@ -93,6 +132,7 @@ inline double real_pingpong_mibs(core::Config cfg, std::size_t bytes,
         trace::on() && comm.rank() == 0
             ? &trace::registry().hist("pt2pt.pingpong_rtt_ns")
             : nullptr;
+    const tune::Counters before = comm.engine().counters();
     Timer t;
     for (int i = 0; i < iters; ++i) {
       std::uint64_t it0 = lat_hist != nullptr ? now_ns() : 0;
@@ -109,8 +149,9 @@ inline double real_pingpong_mibs(core::Config cfg, std::size_t bytes,
     if (comm.rank() == 0) {
       double oneway_ns =
           static_cast<double>(ns) / (2.0 * static_cast<double>(iters));
-      result = (static_cast<double>(bytes) / (1024.0 * 1024.0)) /
-               (oneway_ns * 1e-9);
+      result.mibs = (static_cast<double>(bytes) / (1024.0 * 1024.0)) /
+                    (oneway_ns * 1e-9);
+      result.path = path_label(before, comm.engine().counters());
     }
     if (telemetry != nullptr) {
       comm.hard_barrier();  // Quiesce before reading peers' epochs end.
@@ -119,6 +160,11 @@ inline double real_pingpong_mibs(core::Config cfg, std::size_t bytes,
     }
   });
   return result;
+}
+
+inline double real_pingpong_mibs(core::Config cfg, std::size_t bytes,
+                                 int iters = 30) {
+  return real_pingpong(std::move(cfg), bytes, iters).mibs;
 }
 
 /// Measured alltoall aggregate throughput for `nranks` thread ranks.

@@ -7,7 +7,11 @@
 //
 // The [real] block compares the current default pipeline against the seed's
 // 2×32KiB memcpy ring ("default-seed") so the copy-pipeline speedup is
-// directly visible; --json records those rows for the perf trajectory.
+// directly visible; --json records those rows for the perf trajectory. Each
+// real row carries the path the engine's counters saw (the 64 KiB cells of
+// every forced backend are eager), and the real knem/cma rows measure the
+// cooperative copy from knem::kCoopMin, while the [sim] rows keep the
+// paper's receiver-only copy.
 #include <cstdlib>
 #include <string_view>
 
@@ -100,17 +104,20 @@ int main(int argc, char** argv) {
         continue;
       }
       std::vector<double> vals;
+      std::vector<std::string> paths;
       for (auto s : sizes) {
-        double mibs = real_pingpong_mibs(row.cfg, s, iters, tel);
-        vals.push_back(mibs);
-        char buf[160];
+        PingpongResult r = real_pingpong(row.cfg, s, iters, tel);
+        vals.push_back(r.mibs);
+        paths.push_back(r.path);
+        char buf[200];
         std::snprintf(buf, sizeof buf,
                       "{\"strategy\": \"%s\", \"bytes\": %zu, "
-                      "\"mibs\": %.1f}",
-                      row.name, s, mibs);
+                      "\"path\": \"%s\", \"mibs\": %.1f}",
+                      row.name, s, r.path.c_str(), r.mibs);
         json_rows.emplace_back(buf);
       }
       print_row(row.name, vals);
+      print_paths(sizes, paths);
     }
     if (opt.has("json") &&
         !write_json_rows(opt.get("json", ""), "fig4_pingpong_shared",

@@ -4,7 +4,9 @@
 // Paper's shape: KNEM clearly ahead (up to >3x default, ~2x vmsplice);
 // vmsplice above default; I/OAT takes over for the largest messages. The
 // real block adds this repo's CMA backend — the same single-copy shape as
-// KNEM without the kernel module — when the host kernel permits it.
+// KNEM without the kernel module — when the host kernel permits it. Each
+// real row prints the path its counters saw; from knem::kCoopMin the real
+// knem/cma copies are cooperative (the sender's core copies half).
 #include <cstdlib>
 #include <string_view>
 
@@ -62,10 +64,14 @@ int main(int argc, char** argv) {
         continue;
       }
       std::vector<double> vals;
-      for (auto s : sizes)
-        vals.push_back(
-            real_pingpong_mibs(cfg_for(row.kind, row.mode), s, iters));
+      std::vector<std::string> paths;
+      for (auto s : sizes) {
+        PingpongResult r = real_pingpong(cfg_for(row.kind, row.mode), s, iters);
+        vals.push_back(r.mibs);
+        paths.push_back(r.path);
+      }
       print_row(row.name, vals);
+      print_paths(sizes, paths);
     }
   }
   return 0;

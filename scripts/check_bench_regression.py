@@ -17,6 +17,11 @@ jitter. Rows whose baseline or fresh value is missing or non-positive are
 reported as skipped, never failed — a new bench row must be able to land
 before its baseline does.
 
+A row's ``path`` (the transfer path the engine counters saw, e.g.
+``eager-queue`` or ``rndv-knem``) is not part of its identity: when both
+rows carry one and they differ, that is a violation, since the fresh row no
+longer measures what its baseline measured.
+
 Usage:
   check_bench_regression.py --baseline bench/results/BENCH_coll.json \
       --fresh build/BENCH_coll.json [--tolerance 2.5] [--diff out.json]
@@ -36,6 +41,7 @@ METRICS = (
     ("net_ns_op", "lower"),
 )
 IDENTITY_EXCLUDE = {name for name, _ in METRICS} | {
+    "path",
     "sim_mibs",
     "sim_copy_bytes",
     "sim_l2_misses",
@@ -93,6 +99,12 @@ def compare(baseline_rows, fresh_rows, tolerance):
         if base_m is None or fresh is None:
             skipped.append({"key": key, "reason": "missing fresh row"
                             if base_m else "no metric"})
+            continue
+        if "path" in base and "path" in fresh and base["path"] != fresh["path"]:
+            record = {"key": key, "metric": "path", "baseline": base["path"],
+                      "fresh": fresh["path"]}
+            checked.append(record)
+            violations.append(record)
             continue
         name, orientation, base_val = base_m
         fresh_m = row_metric(fresh)
@@ -180,6 +192,9 @@ def load_rows(path):
 
 def describe(record):
     ident = ", ".join(f"{k}={v}" for k, v in record["key"])
+    if record["metric"] == "path":
+        return (f"  [{ident}] path: baseline {record['baseline']}"
+                f" fresh {record['fresh']} (the row measures another path)")
     return (f"  [{ident}] {record['metric']}: baseline {record['baseline']:g}"
             f" fresh {record['fresh']:g} (bound {record['bound']:g},"
             f" ratio {record['ratio']:.2f}x)")

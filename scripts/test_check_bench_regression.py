@@ -88,6 +88,27 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(violations, [])
         self.assertEqual(len(checked), 1)
 
+    def test_path_change_fails_even_when_faster(self):
+        base = [dict(pp_row("knem", 65536, 1900.0), path="rndv-knem")]
+        fresh = [dict(pp_row("knem", 65536, 2400.0), path="eager-queue")]
+        violations, checked, skipped = cbr.compare(base, fresh, 2.5)
+        self.assertEqual(len(violations), 1)
+        self.assertEqual(violations[0]["metric"], "path")
+        self.assertEqual(skipped, [])
+        self.assertIn("eager-queue", cbr.describe(violations[0]))
+
+    def test_path_is_not_identity(self):
+        # Same path on both sides: compared on mibs as usual; a baseline
+        # without a path still matches a fresh row that carries one.
+        base = [dict(pp_row("knem", 65536, 1900.0), path="eager-queue"),
+                pp_row("cma", 65536, 1900.0)]
+        fresh = [dict(pp_row("knem", 65536, 1800.0), path="eager-queue"),
+                 dict(pp_row("cma", 65536, 1800.0), path="eager-queue")]
+        violations, checked, skipped = cbr.compare(base, fresh, 2.5)
+        self.assertEqual(violations, [])
+        self.assertEqual(len(checked), 2)
+        self.assertEqual(skipped, [])
+
     def test_bad_tolerance_rejected(self):
         with self.assertRaises(ValueError):
             cbr.compare([], [], 1.0)

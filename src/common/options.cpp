@@ -121,7 +121,8 @@ const std::vector<KnobInfo>& Config::knobs() {
       {"NEMO_COLL_SLOT_BYTES", KnobType::kSize, "tuned",
        "coll", "per-rank payload slot bytes in the collective arena"},
       {"NEMO_DMA_MIN", KnobType::kSize, "formula",
-       "lmt", "min bytes before KNEM offloads copies to DMA"},
+       "lmt", "min bytes before KNEM offloads copies to DMA (KnemMode::kAuto "
+              "only; the default kSyncCopy ignores it)"},
       {"NEMO_FASTBOX", KnobType::kFlag, "1",
        "shm", "enable the per-pair fastbox rings"},
       {"NEMO_FASTBOX_MAX", KnobType::kSize, "tuned",

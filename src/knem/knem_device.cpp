@@ -2,8 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <thread>
+
+#include "resil/resil.hpp"
 
 namespace nemo::knem {
 
@@ -32,6 +36,68 @@ std::uint64_t pages_touched(std::uint64_t addr, std::uint64_t len) {
 
 void stat_add(std::uint64_t& field, std::uint64_t v) {
   aref(field).fetch_add(v, std::memory_order_relaxed);
+}
+
+std::uint64_t seg_addr(const shm::RemoteSegment& s) { return s.addr; }
+template <class Seg>
+std::uint64_t seg_addr(const Seg& s) {
+  return reinterpret_cast<std::uint64_t>(s.base);
+}
+shm::RemoteSegment seg_at(const shm::RemoteSegment&, std::uint64_t addr,
+                          std::uint64_t len) {
+  return {addr, len};
+}
+template <class Seg>
+Seg seg_at(const Seg&, std::uint64_t addr, std::uint64_t len) {
+  using Ptr = decltype(Seg::base);
+  return {reinterpret_cast<Ptr>(addr), static_cast<std::size_t>(len)};
+}
+
+/// Message bytes [off, off + len) of a segment list, as sub-segments.
+template <class Seg>
+std::vector<Seg> byte_slice(std::span<const Seg> segs, std::uint64_t off,
+                            std::uint64_t len) {
+  std::vector<Seg> out;
+  for (const Seg& s : segs) {
+    if (len == 0) break;
+    if (off >= s.len) {
+      off -= s.len;
+      continue;
+    }
+    std::uint64_t n = std::min<std::uint64_t>(s.len - off, len);
+    out.push_back(seg_at(s, seg_addr(s) + off, n));
+    len -= n;
+    off = 0;
+  }
+  return out;
+}
+
+/// True when every non-empty segment lies in [base, base + span).
+bool all_within(std::span<const shm::RemoteSegment> segs, std::uint64_t base,
+                std::uint64_t span) {
+  for (const auto& seg : segs)
+    if (seg.len != 0 && (seg.addr < base || seg.addr + seg.len > base + span))
+      return false;
+  return true;
+}
+
+/// Claim kCoopChunk ranges of `s` and move each with `copy(off, n)` until
+/// the cursor passes the message; returns the bytes moved. The release add
+/// to coop_done publishes the chunk's bytes to the receiver's completion
+/// check.
+template <class Copy>
+std::uint64_t claim_chunks(CookieSlot* s, Copy&& copy) {
+  const std::uint64_t total = s->total_bytes;
+  std::uint64_t mine = 0;
+  for (;;) {
+    std::uint64_t off = aref(s->coop_next).fetch_add(kCoopChunk);
+    if (off >= total) break;
+    std::uint64_t n = std::min(kCoopChunk, total - off);
+    copy(off, n);
+    aref(s->coop_done).fetch_add(n, std::memory_order_release);
+    mine += n;
+  }
+  return mine;
 }
 
 }  // namespace
@@ -123,6 +189,9 @@ std::uint64_t Device::submit_send(std::span<const ConstSegment> segs) {
   slot->owner_arena_base = reinterpret_cast<std::uint64_t>(arena_->base());
   slot->stage_off = kNil;
   aref(slot->stage_state).store(0, std::memory_order_relaxed);
+  aref(slot->coop_state).store(kCoopPending, std::memory_order_relaxed);
+  aref(slot->coop_next).store(0, std::memory_order_relaxed);
+  aref(slot->coop_done).store(0, std::memory_order_relaxed);
 
   std::uint64_t total = 0, pinned = 0;
   std::uint32_t n = 0;
@@ -231,15 +300,7 @@ std::optional<Device::Resolved> Device::resolve(
   if (!same_pid) {
     std::uint64_t sender_base = s->owner_arena_base;
     std::uint64_t local_base = reinterpret_cast<std::uint64_t>(arena_->base());
-    std::uint64_t span = arena_->size();
-    bool all_in_arena = true;
-    for (const auto& seg : r.segs) {
-      if (seg.len == 0) continue;
-      if (seg.addr < sender_base || seg.addr + seg.len > sender_base + span) {
-        all_in_arena = false;
-        break;
-      }
-    }
+    bool all_in_arena = all_within(r.segs, sender_base, arena_->size());
     if (all_in_arena) {
       for (auto& seg : r.segs)
         if (seg.len != 0) seg.addr = seg.addr - sender_base + local_base;
@@ -348,6 +409,128 @@ void Device::note_cma_read(std::uint64_t bytes) {
   stat_add(st_->stats.cma_bytes, bytes);
 }
 
+void Device::note_recv(std::uint64_t bytes) {
+  stat_add(st_->stats.recv_cmds, 1);
+  stat_add(st_->stats.bytes_copied, bytes);
+}
+
+bool Device::coop_offer(std::uint64_t cookie_id, const Resolved& src,
+                        std::span<const Segment> dst, bool cma_write) {
+  const CookieSlot* cs = find(cookie_id);
+  if (cs == nullptr) return false;
+  auto* s = const_cast<CookieSlot*>(cs);
+  // The destination, trimmed to the message.
+  std::uint32_t n = 0;
+  std::uint64_t left = src.total;
+  bool fits = src.total >= kCoopMin;
+  for (const Segment& seg : dst) {
+    if (!fits || left == 0) break;
+    if (seg.len == 0) continue;
+    if (n == kInlineSegs) {
+      fits = false;
+      break;
+    }
+    std::uint64_t len = std::min<std::uint64_t>(seg.len, left);
+    s->coop_segs[n++] = {reinterpret_cast<std::uint64_t>(seg.base), len};
+    left -= len;
+  }
+  if (fits) {
+    auto base = reinterpret_cast<std::uint64_t>(arena_->base());
+    if (src.pid == pid_)
+      s->coop_reach = static_cast<std::uint32_t>(CoopReach::kSamePid);
+    else if (all_within({s->coop_segs, n}, base, arena_->size()))
+      s->coop_reach = static_cast<std::uint32_t>(CoopReach::kArena);
+    else if (cma_write)
+      s->coop_reach = static_cast<std::uint32_t>(CoopReach::kCma);
+    else
+      fits = false;
+    s->coop_base = base;
+    s->coop_pid = static_cast<std::int32_t>(pid_);
+    s->coop_nsegs = n;
+  }
+  aref(s->coop_state)
+      .store(fits ? kCoopOffered : kCoopDeclined, std::memory_order_release);
+  if (fits) stat_add(st_->stats.coop_offers, 1);
+  return fits;
+}
+
+void Device::coop_decline(std::uint64_t cookie_id) {
+  const CookieSlot* cs = find(cookie_id);
+  if (cs == nullptr) return;
+  aref(const_cast<CookieSlot*>(cs)->coop_state)
+      .store(kCoopDeclined, std::memory_order_release);
+}
+
+std::uint64_t Device::coop_copy(std::uint64_t cookie_id, const Resolved& src,
+                                std::span<const Segment> dst) {
+  const CookieSlot* cs = find(cookie_id);
+  NEMO_ASSERT_MSG(cs != nullptr, "stale cookie in cooperative copy");
+  shm::RemoteMemPort port(src.mode, src.pid);
+  std::span<const shm::RemoteSegment> from(src.segs);
+  std::uint64_t mine = claim_chunks(
+      const_cast<CookieSlot*>(cs),
+      [&](std::uint64_t off, std::uint64_t n) {
+        auto r = byte_slice(from, off, n);
+        auto l = byte_slice(dst, off, n);
+        port.read(r, l, /*non_temporal=*/false);
+      });
+  stat_add(st_->stats.coop_receiver_bytes, mine);
+  return mine;
+}
+
+bool Device::coop_complete(std::uint64_t cookie_id) const {
+  const CookieSlot* s = find(cookie_id);
+  NEMO_ASSERT_MSG(s != nullptr, "stale cookie in cooperative copy");
+  return aref(const_cast<std::uint64_t&>(s->coop_done))
+             .load(std::memory_order_acquire) == s->total_bytes;
+}
+
+std::optional<std::uint64_t> Device::coop_send(
+    std::uint64_t cookie_id, std::span<const ConstSegment> src) {
+  const CookieSlot* cs = find(cookie_id);
+  if (cs == nullptr) return 0;
+  auto* s = const_cast<CookieSlot*>(cs);
+  std::uint64_t state = aref(s->coop_state).load(std::memory_order_acquire);
+  if (state == kCoopPending) return std::nullopt;
+  if (state == kCoopDeclined) return 0;
+
+  // The receiver's destination, as this process addresses it.
+  shm::RemoteSegmentList to(s->coop_segs, s->coop_segs + s->coop_nsegs);
+  auto reach = static_cast<CoopReach>(s->coop_reach);
+  if (reach == CoopReach::kArena) {
+    auto local_base = reinterpret_cast<std::uint64_t>(arena_->base());
+    for (auto& seg : to) seg.addr = seg.addr - s->coop_base + local_base;
+  }
+  shm::RemoteMemPort port(
+      reach == CoopReach::kCma ? shm::RemoteMode::kCma
+                               : shm::RemoteMode::kDirect,
+      reach == CoopReach::kCma ? s->coop_pid : pid_);
+  if (reach == CoopReach::kCma) {
+    // Claim nothing this process cannot deliver: a claimed chunk is only
+    // ever finished by its claimant. process_vm_readv checks the same
+    // ptrace access as process_vm_writev, so a one-byte read is the probe.
+    std::byte probe{};
+    try {
+      port.read(byte_slice(std::span<const shm::RemoteSegment>(to), 0, 1),
+                SegmentList{{&probe, 1}});
+    } catch (const SysError& e) {
+      if (e.sys_errno() != EPERM && e.sys_errno() != ENOSYS) throw;
+      return 0;
+    }
+  }
+  std::span<const shm::RemoteSegment> dst(to);
+  std::uint64_t mine = claim_chunks(
+      s,
+      [&](std::uint64_t off, std::uint64_t n) {
+        resil::fault_point(resil::Site::kLmtCoop, rank_);
+        auto r = byte_slice(dst, off, n);
+        auto l = byte_slice(src, off, n);
+        port.write(r, l);
+      });
+  stat_add(st_->stats.coop_sender_bytes, mine);
+  return mine;
+}
+
 DeviceStats Device::stats() const {
   DeviceStats out;
   out.send_cmds = aref(st_->stats.send_cmds).load(std::memory_order_relaxed);
@@ -369,6 +552,12 @@ DeviceStats Device::stats() const {
       aref(st_->stats.cma_stage_fallbacks).load(std::memory_order_relaxed);
   out.cma_stage_bytes =
       aref(st_->stats.cma_stage_bytes).load(std::memory_order_relaxed);
+  out.coop_offers =
+      aref(st_->stats.coop_offers).load(std::memory_order_relaxed);
+  out.coop_sender_bytes =
+      aref(st_->stats.coop_sender_bytes).load(std::memory_order_relaxed);
+  out.coop_receiver_bytes =
+      aref(st_->stats.coop_receiver_bytes).load(std::memory_order_relaxed);
   return out;
 }
 

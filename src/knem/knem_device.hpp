@@ -19,6 +19,13 @@
 // real module reads the sender's pages via its kernel mapping, we read them
 // directly when they are shared (same address space or arena pages) and via
 // cross-memory attach otherwise.
+//
+// Cooperative copy: a CPU-copy receive leaves the sender's core idle in
+// send() until FIN. For large messages the receiver instead offers a split
+// in the cookie slot (its destination segments and how the sender can reach
+// them); both cores then claim kCoopChunk byte ranges from one atomic cursor
+// and copy them, the receiver reading and the sender writing. Still one
+// copy of every byte, so the paper's copy and cache-line counts hold.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +43,37 @@ inline constexpr std::uint32_t kFlagAsync = 1u << 1;
 
 inline constexpr std::uint32_t kInlineSegs = 16;
 inline constexpr std::uint32_t kBlockSegs = 30;
+
+// Cooperative-copy geometry, from a 2-rank threads-mode KNEM pingpong
+// sweep (fig4 real block, contiguous arena buffers, 4-core Xeon VM; MiB/s,
+// median of 3-4 runs; the receiver-only copy ran 6-9k at every size):
+//
+//   chunk \ msg   256K    512K     1M     4M     8M
+//     32 KiB    10.5k   14.4k  15.8k  16.0k  16.1k
+//     64 KiB    15.2k   14.1k  17.5k  16.1k  16.7k
+//    128 KiB    11.6k   15.3k  18.5k  16.9k  17.0k
+//    256 KiB     6.6k   11.8k  18.9k  17.7k  17.5k
+//    512 KiB     6.6k    7.6k  13.7k  17.2k  15.9k
+//
+// 128 KiB holds the best or near-best median from 512 KiB up, where large
+// traffic lives; a chunk of half the message or more leaves the sender
+// nothing to claim. A 128 KiB message split in 64 KiB chunks did run
+// faster (9-11k vs 6-7k), but kCoopMin keeps the eager and medium classes
+// (<= 128 KiB) receiver-only so their latency path stays the paper's.
+inline constexpr std::uint64_t kCoopMin = 256 * KiB;   ///< Smallest split.
+inline constexpr std::uint64_t kCoopChunk = 128 * KiB; ///< Claim unit.
+
+/// CookieSlot::coop_state values, published by the receiver.
+inline constexpr std::uint64_t kCoopPending = 0;   ///< Not yet decided.
+inline constexpr std::uint64_t kCoopOffered = 1;   ///< Sender may claim.
+inline constexpr std::uint64_t kCoopDeclined = 2;  ///< Receiver copies alone.
+
+/// How the sender reaches an offered destination.
+enum class CoopReach : std::uint32_t {
+  kSamePid = 0,  ///< Same address space: raw addresses.
+  kArena = 1,    ///< Arena-resident: rebase from the receiver's mapping.
+  kCma = 2,      ///< Private memory of coop_pid: process_vm_writev.
+};
 
 /// Extension block for cookies with more than kInlineSegs segments.
 struct SegBlock {
@@ -64,6 +102,17 @@ struct CookieSlot {
   std::uint64_t stage_off;  ///< Arena offset of the staging buffer.
   shm::RemoteSegment inline_segs[kInlineSegs];
   std::uint64_t more;     ///< First SegBlock offset or kNil.
+  // Cooperative copy (see Device::coop_offer). The receiver writes the
+  // destination words, then release-stores coop_state.
+  std::uint64_t coop_state;  ///< Atomic kCoop* value.
+  std::uint64_t coop_next;   ///< Atomic: first unclaimed message byte.
+  std::uint64_t coop_done;   ///< Atomic: bytes landed by either side.
+  std::uint64_t coop_base;   ///< Receiver's arena base (kArena reach).
+  std::int32_t coop_pid;     ///< Receiver's pid (kCma reach).
+  std::uint32_t coop_reach;  ///< CoopReach.
+  std::uint32_t coop_nsegs;
+  std::uint32_t coop_pad;
+  shm::RemoteSegment coop_segs[kInlineSegs];  ///< Receiver's destination.
 };
 
 struct DeviceStats {
@@ -78,6 +127,9 @@ struct DeviceStats {
   std::uint64_t cma_bytes;      ///< Bytes moved by those single copies.
   std::uint64_t cma_stage_fallbacks;  ///< Transfers downgraded to staging.
   std::uint64_t cma_stage_bytes;      ///< Bytes moved through the stage.
+  std::uint64_t coop_offers;          ///< Receives split with the sender.
+  std::uint64_t coop_sender_bytes;    ///< Bytes the senders copied.
+  std::uint64_t coop_receiver_bytes;  ///< Bytes the receivers copied.
 };
 
 struct DeviceState {
@@ -170,6 +222,39 @@ class Device {
   /// Bump the CMA single-copy counters (the CMA backend's data motion does
   /// not go through recv_sync, so it accounts itself).
   void note_cma_read(std::uint64_t bytes);
+
+  /// Count a KNEM CPU-copy receive command whose data moves through the
+  /// cooperative calls below instead of recv_sync.
+  void note_recv(std::uint64_t bytes);
+
+  // -- Cooperative copy. Receiver: resolve(), then coop_offer(); when it
+  //    returns true, coop_copy() and poll coop_complete() before FIN. The
+  //    sender polls coop_send() from its progress loop.
+
+  /// Receiver: publish an offer when the message is at least kCoopMin, the
+  /// destination (trimmed to the message) has at most kInlineSegs segments
+  /// and the sender can reach it: same pid, arena-resident, or `cma_write`.
+  /// Otherwise publish kCoopDeclined. Returns true when offered.
+  bool coop_offer(std::uint64_t cookie_id, const Resolved& src,
+                  std::span<const Segment> dst, bool cma_write);
+
+  /// Receiver: publish kCoopDeclined (DMA and async receives).
+  void coop_decline(std::uint64_t cookie_id);
+
+  /// Receiver: claim and copy chunks until none are left; returns the bytes
+  /// this side landed.
+  std::uint64_t coop_copy(std::uint64_t cookie_id, const Resolved& src,
+                          std::span<const Segment> dst);
+
+  /// Receiver: true once both sides' chunks cover the whole message.
+  [[nodiscard]] bool coop_complete(std::uint64_t cookie_id) const;
+
+  /// Sender: nullopt while the receiver has not decided; otherwise claims
+  /// and copies chunks from `src` until none are left and returns the bytes
+  /// it landed (0 when declined, or when a CMA destination refuses this
+  /// process). Crash site kLmtCoop sits before each claimed chunk's copy.
+  std::optional<std::uint64_t> coop_send(std::uint64_t cookie_id,
+                                         std::span<const ConstSegment> src);
 
   [[nodiscard]] DeviceStats stats() const;
   [[nodiscard]] std::uint32_t slots_in_use() const;

@@ -7,6 +7,7 @@
 #include <optional>
 #include <vector>
 
+#include "knem/knem_device.hpp"
 #include "lmt/lmt.hpp"
 #include "shm/copy_ring.hpp"
 
@@ -130,5 +131,20 @@ class CmaBackend final : public Backend {
 };
 
 std::unique_ptr<Backend> make_backend(LmtKind kind, core::Engine& eng);
+
+// Cooperative CPU copy, shared by the KNEM and CMA backends (the mechanism
+// lives in knem::Device; these add the engine's counters, trace and death
+// verdicts).
+
+/// Receiver: offer the sender a split of the copy of `src` (resolved from
+/// ctx's cookie), then copy this side's chunks. Without an offer it copies
+/// the whole message. Returns true when every byte has landed; false sets
+/// ctx.coop, and the caller polls knem::Device::coop_complete().
+bool coop_recv(core::Engine& eng, RecvCtx& ctx,
+               const knem::Device::Resolved& src);
+
+/// Sender: copy claimed chunks once the receiver has offered a split.
+/// Returns false while the receiver has not decided yet.
+bool coop_send(core::Engine& eng, SendCtx& ctx);
 
 }  // namespace nemo::lmt

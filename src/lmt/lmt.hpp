@@ -87,6 +87,7 @@ struct SendCtx {
   std::size_t seg_idx = 0;         ///< Position in segs...
   std::size_t seg_off = 0;         ///< ...and offset within segs[seg_idx].
   std::uint64_t knem_cookie = 0;
+  bool coop_settled = false;  ///< Receiver's co-copy decision handled.
 
   void* user = nullptr;  ///< Engine backref (request state).
 };
@@ -111,6 +112,7 @@ struct RecvCtx {
   std::size_t seg_off = 0;
   volatile std::uint8_t async_status = 0;  ///< KNEM async completion byte.
   bool async_submitted = false;
+  bool coop = false;  ///< Co-copy offered; poll the cookie until complete.
 
   void* user = nullptr;
 };

@@ -4,9 +4,11 @@
 // declares its segments and ships the cookie id in the RTS; the receiver
 // resolves it to (pid, iovec) and pulls the payload with one kernel-mediated
 // copy. Like KNEM the flow is receiver-driven with a FIN releasing the
-// cookie. When the CMA syscalls fail at transfer time (EPERM under Yama
-// ptrace_scope / seccomp, ENOSYS on old kernels) the transfer degrades to a
-// sender-staged copy through the arena instead of failing.
+// cookie. Large messages split that one copy with the sender's core
+// (coop_recv/coop_send: the sender writes with process_vm_writev). When the
+// CMA syscalls fail at transfer time (EPERM under Yama ptrace_scope /
+// seccomp, ENOSYS on old kernels) the transfer degrades to a sender-staged
+// copy through the arena instead of failing.
 #include <cerrno>
 #include <cstring>
 
@@ -27,10 +29,12 @@ void CmaBackend::send_init(SendCtx& ctx) {
 }
 
 bool CmaBackend::send_progress(SendCtx& ctx) {
-  // Data motion is receiver-driven; the sender's only job is to watch the
-  // cookie slot for a staging request (the receiver's CMA syscalls failed)
-  // and fulfil it — the sender can always read its own pages.
+  // Data motion is receiver-driven; the sender copies the chunks of an
+  // offered split, and watches the cookie slot for a staging request (the
+  // receiver's CMA syscalls failed) to fulfil — the sender can always read
+  // its own pages.
   if (ctx.fin_seen) return true;
+  coop_send(eng_, ctx);
   return eng_.knem_device().try_fulfill_stage(
       ctx.knem_cookie, std::span<const ConstSegment>(ctx.segs));
 }
@@ -49,6 +53,7 @@ void CmaBackend::recv_init(RecvCtx&) {
 
 bool CmaBackend::recv_progress(RecvCtx& ctx) {
   knem::Device& dev = eng_.knem_device();
+  if (ctx.coop) return dev.coop_complete(ctx.rts.knem_cookie);
   // async_submitted doubles as "staging fallback requested"; ring_cursor
   // holds the staging buffer's arena offset.
   if (!ctx.async_submitted) {
@@ -61,11 +66,9 @@ bool CmaBackend::recv_progress(RecvCtx& ctx) {
     bool sim_fail = eng_.world().config().cma_sim_fail;
     if (!sim_fail) {
       try {
-        shm::RemoteMemPort port(r->mode, r->pid);
-        port.read(r->segs, std::span<const Segment>(ctx.segs),
-                  /*non_temporal=*/false);
+        bool done = coop_recv(eng_, ctx, *r);
         dev.note_cma_read(r->total);
-        return true;
+        return done;
       } catch (const SysError& e) {
         int err = e.sys_errno();
         if (err == ESRCH) {
@@ -79,8 +82,12 @@ bool CmaBackend::recv_progress(RecvCtx& ctx) {
                                      /*from_timeout=*/false);
         }
         if (err != EPERM && err != ENOSYS) throw;
-        // Kernel refused the attach: degrade to the staged path below.
+        // Kernel refused the attach: degrade to the staged path below. An
+        // offered split may be part-copied; the stage rewrites every byte.
       }
+    } else {
+      dev.coop_decline(ctx.rts.knem_cookie);
+      eng_.counters().lmt_coop_declined++;
     }
     std::uint64_t off = dev.request_stage(ctx.rts.knem_cookie);
     NEMO_ASSERT_MSG(off != shm::kNil, "stale CMA cookie on stage request");

@@ -1,7 +1,51 @@
+#include <cerrno>
+
 #include "core/comm.hpp"
 #include "lmt/backends.hpp"
 
 namespace nemo::lmt {
+
+bool coop_recv(core::Engine& eng, RecvCtx& ctx,
+               const knem::Device::Resolved& src) {
+  knem::Device& dev = eng.knem_device();
+  const core::World& world = eng.world();
+  const std::uint64_t cookie = ctx.rts.knem_cookie;
+  bool cma_write = world.cma_ok() && !world.config().cma_sim_fail;
+  if (!dev.coop_offer(cookie, src, ctx.segs, cma_write)) {
+    eng.counters().lmt_coop_declined++;
+    shm::RemoteMemPort(src.mode, src.pid)
+        .read(src.segs, ctx.segs, /*non_temporal=*/false);
+    return true;
+  }
+  eng.counters().lmt_coop_msgs++;
+  if (trace::on())
+    eng.tracer().emit(trace::kLmtCoop, trace::kInstant,
+                      static_cast<std::uint64_t>(ctx.peer), src.total);
+  dev.coop_copy(cookie, src, ctx.segs);
+  ctx.coop = true;
+  return dev.coop_complete(cookie);
+}
+
+bool coop_send(core::Engine& eng, SendCtx& ctx) {
+  if (ctx.coop_settled) return true;
+  std::optional<std::uint64_t> moved;
+  try {
+    moved = eng.knem_device().coop_send(
+        ctx.knem_cookie, std::span<const ConstSegment>(ctx.segs));
+  } catch (const SysError& e) {
+    // The receiver's pid vanished under a CMA write: a death verdict, as
+    // in the CMA receive path.
+    if (e.sys_errno() != ESRCH) throw;
+    resil::Liveness live = eng.world().liveness();
+    if (live.valid()) live.mark_dead(ctx.peer);
+    throw resil::PeerDeadError(ctx.peer, resil::Site::kLmtCoop,
+                               /*from_timeout=*/false);
+  }
+  if (!moved) return false;
+  ctx.coop_settled = true;
+  eng.counters().lmt_coop_sender_bytes += *moved;
+  return true;
+}
 
 void KnemBackend::send_init(SendCtx& ctx) {
   // Declare the (possibly vectorial) send buffer; the cookie id travels in
@@ -16,9 +60,10 @@ void KnemBackend::send_init(SendCtx& ctx) {
   ctx.rts.sender_core = core >= 0 ? static_cast<std::uint32_t>(core) : 0;
 }
 
-bool KnemBackend::send_progress(SendCtx&) {
-  // All data motion is receiver-driven; the sender merely waits for FIN.
-  return true;
+bool KnemBackend::send_progress(SendCtx& ctx) {
+  // The receiver drives the copy. When it offers a split, this core, idle
+  // until FIN otherwise, copies chunks too.
+  return ctx.fin_seen || coop_send(eng_, ctx);
 }
 
 void KnemBackend::send_fin(SendCtx& ctx) {
@@ -38,17 +83,32 @@ void KnemBackend::recv_init(RecvCtx& ctx) {
 
 bool KnemBackend::recv_progress(RecvCtx& ctx) {
   knem::Device& dev = eng_.knem_device();
+  const std::uint64_t cookie = ctx.rts.knem_cookie;
+  if (ctx.coop) return dev.coop_complete(cookie);
   std::uint32_t flags = ctx.rts.knem_flags;
-  bool dma = (flags & knem::kFlagDma) != 0;
-  bool async = (flags & knem::kFlagAsync) != 0;
 
-  if (!async) {
-    // Synchronous receive command: the call returns with the data placed —
-    // either copied inline by this (receiver) core, or DMA-submitted and
-    // polled before returning.
+  if (flags == 0) {
+    // CPU copy on this (receiver) core, split with the sender's core when
+    // the message is large enough.
+    auto r = dev.resolve(cookie);
+    NEMO_ASSERT_MSG(r.has_value(), to_string(knem::KnemResult::kBadCookie));
+    NEMO_ASSERT_MSG(total_bytes(ctx.segs) >= r->total,
+                    to_string(knem::KnemResult::kTruncated));
+    dev.note_recv(r->total);
+    return coop_recv(eng_, ctx, *r);
+  }
+
+  // The DMA and kernel-thread modes keep the paper's offload: the copy
+  // stays off both cores, so the sender is told not to join.
+  if (!ctx.async_submitted) {
+    dev.coop_decline(cookie);
+    eng_.counters().lmt_coop_declined++;
+  }
+  bool dma = (flags & knem::kFlagDma) != 0;
+  if ((flags & knem::kFlagAsync) == 0) {
+    // Synchronous I/OAT mode: DMA-submitted and polled before returning.
     knem::KnemResult res =
-        dev.recv_sync(ctx.rts.knem_cookie, ctx.segs, flags,
-                      dma ? &eng_.dma_channel() : nullptr);
+        dev.recv_sync(cookie, ctx.segs, flags, &eng_.dma_channel());
     NEMO_ASSERT_MSG(res == knem::KnemResult::kOk, to_string(res));
     return true;
   }
@@ -58,8 +118,8 @@ bool KnemBackend::recv_progress(RecvCtx& ctx) {
     // thread channel pinned to this core (the competing-copy model of §3.4).
     shm::DmaEngine& engine =
         dma ? eng_.dma_channel() : eng_.kthread_channel();
-    knem::KnemResult res = dev.recv_async(ctx.rts.knem_cookie, ctx.segs,
-                                          flags, engine, &ctx.async_status);
+    knem::KnemResult res =
+        dev.recv_async(cookie, ctx.segs, flags, engine, &ctx.async_status);
     NEMO_ASSERT_MSG(res == knem::KnemResult::kOk, to_string(res));
     ctx.async_submitted = true;
     return false;

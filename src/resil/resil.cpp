@@ -19,6 +19,7 @@ const char* site_name(Site s) {
     case Site::kBarrierArrive: return "barrier_arrive";
     case Site::kCmaRendezvous: return "cma_rendezvous";
     case Site::kFastboxPut: return "fastbox_put";
+    case Site::kLmtCoop: return "lmt_coop";
     case Site::kCollDoorbell: return "coll_doorbell";
     case Site::kCollAck: return "coll_ack";
     case Site::kCollProbe: return "coll_probe";
@@ -36,7 +37,8 @@ const char* site_name(Site s) {
 
 std::optional<Site> crash_site_from_string(const std::string& s) {
   for (auto site : {Site::kCollDeposit, Site::kCollFold, Site::kBarrierArrive,
-                    Site::kCmaRendezvous, Site::kFastboxPut}) {
+                    Site::kCmaRendezvous, Site::kFastboxPut,
+                    Site::kLmtCoop}) {
     if (s == site_name(site)) return site;
   }
   return std::nullopt;
@@ -242,7 +244,7 @@ FaultSpec parse_fault_spec(const std::string& spec) {
   auto resolved = crash_site_from_string(site);
   if (!resolved)
     bad("unknown crash site (coll_deposit, coll_fold, barrier_arrive, "
-        "cma_rendezvous, fastbox_put)");
+        "cma_rendezvous, fastbox_put, lmt_coop)");
   out.site = *resolved;
   if (spec.substr(c2 + 1) != "kill") bad("unknown op (only: kill)");
   return out;

@@ -49,6 +49,7 @@ enum class Site : std::uint8_t {
   kBarrierArrive,     ///< rank about to store its barrier arrival
   kCmaRendezvous,     ///< sender just published an RTS for a CMA transfer
   kFastboxPut,        ///< sender about to write an eager fastbox slot
+  kLmtCoop,           ///< sender about to copy a claimed co-copy chunk
   // Wait sites (where a bounded wait can observe the death).
   kCollDoorbell,      ///< waiting for a slot header / chunk doorbell
   kCollAck,           ///< waiting for a consumer ack

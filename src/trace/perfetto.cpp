@@ -39,6 +39,7 @@ std::pair<const char*, const char*> arg_names(std::uint16_t id) {
     case kRingPop:
     case kLmtActivate:
     case kLmtComplete:
+    case kLmtCoop:
       return {"peer", "bytes"};
     case kCollDeposit:
     case kCollFold:

@@ -175,10 +175,8 @@ Registry& registry() {
 // telemetry consumer shares one writer).
 // ---------------------------------------------------------------------------
 
-namespace {
-
-const char* path_name(int i) {
-  switch (i) {
+const char* Registry::path_name(int slot) {
+  switch (slot) {
     case 0: return "rndv-default";
     case 1: return "rndv-vmsplice";
     case 2: return "rndv-vmsplice-writev";
@@ -189,8 +187,6 @@ const char* path_name(int i) {
   }
   return "?";
 }
-
-}  // namespace
 
 tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   using tune::Json;
@@ -223,6 +219,12 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   j.set("ring_stalls", c.ring_stalls);
   j.set("drain_exhausted", c.drain_exhausted);
   j.set("progress_passes", c.progress_passes);
+
+  Json coop = Json::object();
+  coop.set("msgs", c.lmt_coop_msgs);
+  coop.set("sender_bytes", c.lmt_coop_sender_bytes);
+  coop.set("declined", c.lmt_coop_declined);
+  j.set("lmt_coop", std::move(coop));
 
   Json coll = Json::object();
   coll.set("shm_ops", c.coll_shm_ops);

@@ -96,6 +96,9 @@ class Registry {
   // tune::Counters serialization — the one JSON writer for telemetry.
   // -------------------------------------------------------------------
   static tune::Json counters_json(const tune::Counters& c, int rank);
+  /// Name of a Counters::path_hist slot ("rndv-knem", "eager-queue", ...),
+  /// the key the telemetry "paths" object and the bench row labels use.
+  static const char* path_name(int slot);
   /// {"schema":"nemo-telemetry/1","label":...,"ranks":[...],"total":{...}}
   static tune::Json telemetry_json(const std::string& label,
                                    const tune::Counters* per_rank,

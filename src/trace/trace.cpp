@@ -149,6 +149,7 @@ const char* event_name(std::uint16_t id) {
     case kFence: return "resil.fence";
     case kLmtActivate: return "lmt.activate";
     case kLmtComplete: return "lmt.complete";
+    case kLmtCoop: return "lmt.coop";
     case kFastboxFallback: return "fastbox.fallback";
     case kRingStall: return "ring.stall";
     case kEpochStall: return "coll.epoch_stall";

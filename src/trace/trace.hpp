@@ -104,6 +104,7 @@ enum Event : std::uint16_t {
   // Instants.
   kLmtActivate,      // rendezvous chosen, a0=peer a1=bytes (rings)
   kLmtComplete,      // rendezvous done, a0=peer a1=bytes   (rings)
+  kLmtCoop,          // co-copy offered, a0=peer a1=bytes   (rings)
   kFastboxFallback,  // box full -> cell path, a0=peer      (rings)
   kRingStall,        // CopyRing full, a0=peer              (rings)
   kEpochStall,       // arena spin missed, a0=waited rank   (rings)

@@ -18,6 +18,9 @@ Counters& Counters::operator+=(const Counters& o) {
   ring_stalls += o.ring_stalls;
   drain_exhausted += o.drain_exhausted;
   progress_passes += o.progress_passes;
+  lmt_coop_msgs += o.lmt_coop_msgs;
+  lmt_coop_sender_bytes += o.lmt_coop_sender_bytes;
+  lmt_coop_declined += o.lmt_coop_declined;
   coll_shm_ops += o.coll_shm_ops;
   coll_p2p_ops += o.coll_p2p_ops;
   coll_shm_bytes += o.coll_shm_bytes;

@@ -31,6 +31,13 @@ struct Counters {
   std::uint64_t drain_exhausted = 0;    ///< progress() hit the drain budget.
   std::uint64_t progress_passes = 0;
 
+  // Cooperative single-copy rendezvous (KNEM/CMA CPU copy, >= kCoopMin).
+  std::uint64_t lmt_coop_msgs = 0;          ///< Receives offered a split.
+  std::uint64_t lmt_coop_sender_bytes = 0;  ///< Bytes this rank copied as
+                                            ///< the sender.
+  std::uint64_t lmt_coop_declined = 0;      ///< KNEM/CMA receives the
+                                            ///< receiver copied alone.
+
   // Collective path telemetry (the shm arena fast path vs the pt2pt
   // fallback; see src/coll/).
   std::uint64_t coll_shm_ops = 0;   ///< Collectives that took the arena.

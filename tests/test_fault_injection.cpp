@@ -214,6 +214,31 @@ TEST_P(FaultMatrix, KillAtFastboxPut) {
                {receiver});
 }
 
+TEST_P(FaultMatrix, KillAtLmtCoop) {
+  int n = GetParam();
+  int victim = 2;
+  int receiver = 3;
+  // The victim, blocked in send(), dies holding a claimed chunk of a split
+  // copy. The receiver lands every other chunk, then waits on a byte count
+  // that can never reach the total: the death must surface at its engine
+  // wait, never as a completed receive. Both buffers are arena-resident,
+  // so no copy touches the dead process's memory.
+  Scenario sc{"lmt_coop", {Site::kEngineWait}};
+  run_scenario(n, victim, sc, lmt::LmtKind::kKnem,
+               [=](Comm& comm, int v) {
+                 constexpr std::size_t kN = 8 * MiB;
+                 if (comm.rank() == v) {
+                   std::byte* buf = comm.shared_alloc(kN);
+                   comm.send(buf, kN, receiver, 9);
+                 } else if (comm.rank() == receiver) {
+                   std::byte* buf = comm.shared_alloc(kN);
+                   ::usleep(100 * 1000);  // The victim is polling in send().
+                   comm.recv(buf, kN, v, 9);
+                 }
+               },
+               {receiver});
+}
+
 INSTANTIATE_TEST_SUITE_P(Worlds, FaultMatrix, ::testing::Values(4, 8));
 
 TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {

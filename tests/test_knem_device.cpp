@@ -1,9 +1,12 @@
 // KNEM pseudo-device: cookie lifecycle, vectorial buffers with extension
-// blocks, sync/async/DMA receive commands, error results, pinning stats.
+// blocks, sync/async/DMA receive commands, error results, pinning stats,
+// and the cooperative-copy offer and chunk claiming.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -189,6 +192,62 @@ TEST_F(KnemFixture, ManyConcurrentCookies) {
     dev.release(cookies[static_cast<std::size_t>(i)]);
   }
   EXPECT_EQ(dev.slots_in_use(), 0u);
+}
+
+TEST_F(KnemFixture, CoopOfferRules) {
+  std::vector<std::byte> src(2 * kCoopMin), dst(2 * kCoopMin + 64);
+  auto offer = [&](std::size_t n, const SegmentList& local) {
+    std::uint64_t cookie = dev.submit_send(ConstSegmentList{{src.data(), n}});
+    // Undecided: the sender must keep polling.
+    EXPECT_FALSE(dev.coop_send(cookie, ConstSegmentList{{src.data(), n}}));
+    auto r = dev.resolve(cookie);
+    bool offered = dev.coop_offer(cookie, *r, local, /*cma_write=*/false);
+    // Declined: the sender is released at once, with nothing copied.
+    if (!offered) {
+      EXPECT_EQ(dev.coop_send(cookie, ConstSegmentList{{src.data(), n}}),
+                std::optional<std::uint64_t>(0));
+    }
+    dev.release(cookie);
+    return offered;
+  };
+  SegmentList one{{dst.data(), dst.size()}};
+  EXPECT_FALSE(offer(kCoopMin - 1, one));
+  EXPECT_TRUE(offer(kCoopMin, one));
+  // 17 destination segments of kCoopMin/16 bytes: a kCoopMin message ends
+  // in the 16th (the rest is trimmed), one byte more needs all 17.
+  constexpr std::size_t kSeg = kCoopMin / kInlineSegs;
+  SegmentList many;
+  for (std::size_t i = 0; i <= kInlineSegs; ++i)
+    many.push_back({dst.data() + i * (kSeg + 8), kSeg});
+  EXPECT_TRUE(offer(kCoopMin, many));
+  EXPECT_FALSE(offer(kCoopMin + 1, many));
+  EXPECT_EQ(dev.stats().coop_offers, 2u);
+}
+
+TEST_F(KnemFixture, CoopBothSidesLandEveryByteOnce) {
+  // A sender thread and this (receiver) thread claim chunks concurrently.
+  constexpr std::size_t kN = 40 * kCoopChunk + 7;
+  std::vector<std::byte> src(kN), dst(kN);
+  pattern_fill(src, 5);
+  const ConstSegmentList from{{src.data(), kN}};
+  std::uint64_t cookie = dev.submit_send(from);
+  std::uint64_t sent = 0;
+  std::thread sender([&] {
+    std::optional<std::uint64_t> moved;
+    while (!(moved = dev.coop_send(cookie, from))) std::this_thread::yield();
+    sent = *moved;
+  });
+  auto r = dev.resolve(cookie);
+  SegmentList local{{dst.data(), kN}};
+  ASSERT_TRUE(dev.coop_offer(cookie, *r, local, /*cma_write=*/false));
+  std::uint64_t received = dev.coop_copy(cookie, *r, local);
+  sender.join();
+  EXPECT_TRUE(dev.coop_complete(cookie));
+  EXPECT_EQ(sent + received, kN);
+  EXPECT_EQ(dev.stats().coop_sender_bytes, sent);
+  EXPECT_EQ(dev.stats().coop_receiver_bytes, received);
+  EXPECT_EQ(pattern_check(dst, 5), kPatternOk);
+  dev.release(cookie);
 }
 
 TEST_F(KnemFixture, ReleaseStaleCountsLeak) {
