@@ -316,7 +316,10 @@ int main(int argc, char** argv) {
   // modelled critical-path nanoseconds per round.
   std::printf("# Barrier — flat vs tree arrival schedule\n");
   int bar_iters = smoke ? 50 : 200;
-  for (int nranks : rank_counts) {
+  // The full sweep adds 16 ranks, where a k-ary tree would first pay off.
+  std::vector<int> barrier_ranks = rank_counts;
+  if (!smoke) barrier_ranks.push_back(16);
+  for (int nranks : barrier_ranks) {
     for (bool tree : {false, true}) {
       sim::LmtModels m(sim::e5345_machine());
       double sim_ns = m.barrier_coll_ns(tree, nranks, 4);

@@ -6,10 +6,11 @@
 // World can mbind/interleave it — every rank reads every slot, so no single
 // home node is right):
 //
-//   CollState                      geometry + the barrier release word
+//   CollState                      geometry + the tree-barrier release word
 //   BarrierCell[nranks]            per-rank arrival flags (padded)
 //   AckCell[nranks]                per-rank consumption counters (padded)
-//   ProbeCell[2 * nranks]          per-rank seq-tagged count-probe cells
+//   ProbeCell[2 * nranks]          per-rank seq-tagged line cells: count
+//                                  probes and small-reduce operands
 //                                  (parity double-buffered, see below)
 //   nranks x slot:
 //     SlotHeader                   epoch / doorbell / direct-read offsets
@@ -40,29 +41,35 @@
 //    returning. The epoch tag makes stale counters from earlier collectives
 //    compare strictly smaller, so cells never need resetting.
 //
-//  - Flat barrier. A sense-reversing barrier generalised to a monotonic
-//    sequence: each rank RELEASE-stores its arrival sequence into its padded
-//    flag, rank 0 gathers all flags and RELEASE-stores the global release
-//    word, everyone else spins on that single word. O(1) cache lines per
-//    rank per barrier instead of the O(log n) cell-queue messages of the
-//    pt2pt dissemination barrier. Past the tuned `barrier_tree_ranks` the
+//  - Flat barrier. An all-poll barrier over a monotonic sequence: each
+//    rank RELEASE-stores its arrival sequence into its padded flag, then
+//    ACQUIRE-polls every other rank's flag until it reaches the same
+//    sequence. One hop, no coordinator and no release word: O(n) lines
+//    read per rank, each written once per barrier. A fast rank's next
+//    arrival (seq + 1) still satisfies a straggler's `>= seq` wait, so the
+//    flags never need resetting. Past the tuned `barrier_tree_ranks` the
 //    arrival phase instead combines up a k-ary tree over the same cells: a
-//    parent publishes its flag only after its children's flags, so rank 0
-//    gathers k flags instead of n-1 (the release stays the single word —
-//    one line every spinner reads). The cells are agnostic to which
-//    schedule runs; core/collectives.cpp picks flat vs tree world-
-//    symmetrically from the tuning table.
+//    parent publishes its flag only after its children's flags, rank 0
+//    gathers k flags instead of n-1 and RELEASE-stores the global release
+//    word every other rank spins on. core/collectives.cpp picks flat vs
+//    tree world-symmetrically from the tuning table.
 //
-//  - Count probes. Auto-mode alltoallv needs a rank-consistent size proxy
-//    before it can choose a family, but its counts are asymmetric — so the
-//    ranks exchange one u64 (their total row bytes) through seq-tagged
-//    ProbeCells next to the alltoallv count tables. Cells are
-//    double-buffered by sequence parity: every rank reads every rank's
-//    value each instance, so a writer can run at most one instance ahead
-//    of the slowest reader, and the parity buffer it then overwrites is
-//    one every reader has already consumed. (A single cell would race: a
-//    rank whose next alltoallv exchanges zero bytes with a straggler can
-//    overwrite its cell before that straggler read it.)
+//  - Line cells. Two rank-consistent one-hop exchanges go through the
+//    seq-tagged ProbeCells, each one cache line: a seq word plus a
+//    kLinePayload (56 B) payload, written first and published by a RELEASE
+//    store of the seq. Auto-mode alltoallv exchanges one u64 (its total row
+//    bytes, a symmetric size proxy for asymmetric counts); allreduce/reduce
+//    operands of at most kLinePayload bytes are published whole, and every
+//    rank folds every survivor's cell itself. Both draw their sequence
+//    numbers from one per-engine stream. Cells are double-buffered by
+//    sequence parity: every rank reads every rank's cell each instance, so
+//    a writer can run at most one instance ahead of the slowest reader,
+//    and the parity buffer it then overwrites is one every reader has
+//    already consumed (a reader publishes seq+1 only after it finished
+//    reading seq). That is why neither exchange needs a completion
+//    handshake. A single cell would race: a rank whose next exchange does
+//    not wait on a straggler could overwrite its cell before that
+//    straggler read it.
 #pragma once
 
 #include <cstdint>
@@ -96,12 +103,15 @@ struct AckCell {
 };
 static_assert(sizeof(AckCell) == kCacheLine);
 
-/// One parity buffer of a rank's count-probe cell: `value` is published
-/// first, then `seq` with RELEASE; readers ACQUIRE-poll seq for an exact
-/// match (monotonic per parity, so the spin always terminates).
+/// Payload bytes of one line cell (a cache line minus the seq word).
+inline constexpr std::size_t kLinePayload = kCacheLine - sizeof(std::uint64_t);
+
+/// One parity buffer of a rank's line cell: `payload` is written first,
+/// then `seq` with RELEASE; readers ACQUIRE-poll seq for an exact match
+/// (monotonic per parity, so the spin always terminates).
 struct ProbeCell {
   alignas(kCacheLine) std::uint64_t seq;
-  std::uint64_t value;
+  std::byte payload[kLinePayload];
 };
 static_assert(sizeof(ProbeCell) == kCacheLine);
 
@@ -110,7 +120,7 @@ struct CollState {
   alignas(kCacheLine) std::uint32_t nranks;
   std::uint32_t slot_bytes;   ///< Payload capacity per rank.
   std::uint64_t slot_stride;  ///< Header + table + payload, line-rounded.
-  alignas(kCacheLine) std::uint64_t release_seq;  ///< Flat-barrier release.
+  alignas(kCacheLine) std::uint64_t release_seq;  ///< Tree-barrier release.
 };
 
 /// View over one world's collective arena (cheap to copy; the engine keeps
@@ -270,14 +280,19 @@ class WorldColl {
            ack_value(e, consumed);
   }
 
-  // --- Count probes (auto-mode alltoallv's symmetric size proxy) -----------
+  // --- Line cells (count probes and small-reduce operands) ---------------
 
-  /// Publish rank r's probe value for instance `seq` (parity-selected
-  /// buffer; value first, seq RELEASE-last).
-  void probe_publish(int r, std::uint64_t seq, std::uint64_t value) const {
+  /// Publish rank r's `len` bytes for instance `seq` (parity-selected
+  /// buffer; payload first, seq RELEASE-last).
+  void probe_publish(int r, std::uint64_t seq, const void* src,
+                     std::size_t len) const {
+    NEMO_ASSERT(len <= kLinePayload);
     ProbeCell& c = probe_cell(r, seq);
-    shm::aref(c.value).store(value, std::memory_order_relaxed);
+    std::memcpy(c.payload, src, len);
     shm::aref(c.seq).store(seq, std::memory_order_release);
+  }
+  void probe_publish(int r, std::uint64_t seq, std::uint64_t value) const {
+    probe_publish(r, seq, &value, sizeof value);
   }
   /// Has rank r published instance `seq`? Exact match: the same-parity
   /// buffer only ever holds seq-2 (stale, keep spinning) or seq — a writer
@@ -286,14 +301,19 @@ class WorldColl {
     return shm::aref(probe_cell(r, seq).seq)
                .load(std::memory_order_acquire) == seq;
   }
-  /// The value behind a successful probe_ready (ordered by its acquire).
+  /// The payload behind a successful probe_ready (ordered by its acquire).
+  [[nodiscard]] const std::byte* probe_payload(int r,
+                                               std::uint64_t seq) const {
+    return probe_cell(r, seq).payload;
+  }
   [[nodiscard]] std::uint64_t probe_value(int r, std::uint64_t seq) const {
-    return shm::aref(probe_cell(r, seq).value)
-        .load(std::memory_order_relaxed);
+    std::uint64_t v;
+    std::memcpy(&v, probe_payload(r, seq), sizeof v);
+    return v;
   }
 
-  // --- Flat barrier primitives (the spin loops live with the engine so
-  // they can keep pt2pt progress flowing) ----------------------------------
+  // --- Barrier primitives (the spin loops live with the engine so they
+  // can keep pt2pt progress flowing) ---------------------------------------
 
   void barrier_arrive(int r, std::uint64_t seq) const {
     shm::aref(barrier_[r].seq).store(seq, std::memory_order_release);

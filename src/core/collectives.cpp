@@ -15,7 +15,9 @@
 //
 // Selection mirrors lmt::Policy: NEMO_COLL=shm|p2p forces a family, auto
 // compares the op's symmetric size measure against the tuned
-// coll_activation crossover. Every rank computes the same decision from
+// coll_activation crossover — except that reductions of at most one line
+// cell's payload (56 B) take the arena's line cells under both shm and
+// auto. Every rank computes the same decision from
 // world-level state only, so the families can never mix within one
 // operation.
 //
@@ -46,6 +48,13 @@ using coll_detail::spin_until;
 using coll_detail::spin_until_quiet;
 
 std::uint64_t next_coll_seq(Engine& eng) { return eng.bump_coll_seq(); }
+
+/// May this op use the arena at all? (Arenaless 1-rank worlds and
+/// NEMO_COLL=p2p say no.) World-level state only, so every rank agrees.
+bool arena_open(Engine& eng) {
+  return eng.coll_view().valid() &&
+         eng.world().coll_mode() != coll::Mode::kP2p;
+}
 
 /// Staged-bcast sub-buffer geometry: the slot splits into up to kBcastSubBufs
 /// cacheline-multiple chunks so readers pipeline behind the writer.
@@ -149,10 +158,9 @@ bool Comm::use_shm_coll(std::size_t op_bytes, std::size_t slot_need) {
 
 // ---------------------------------------------------------------------------
 // Arena barrier (shm): flat below the tuned barrier_tree_ranks, k-ary tree
-// at/above it. Both schedules share the same cells and the same release
-// word, so the choice is pure scheduling — but it must be world-symmetric
-// (every rank reads the same tuning table), or ranks would wait on arrival
-// flags nobody publishes.
+// at/above it. Both schedules share the same arrival cells, so the choice is
+// pure scheduling — but it must be world-symmetric (every rank reads the
+// same tuning table), or ranks would wait on arrival flags nobody publishes.
 // ---------------------------------------------------------------------------
 
 void Comm::flat_barrier() {
@@ -160,22 +168,16 @@ void Comm::flat_barrier() {
   coll::WorldColl& cw = eng.coll_view();
   int n = size(), r = rank();
   std::uint64_t seq = eng.next_coll_barrier_seq();
-  // The lowest surviving rank coordinates (rank 0 until it dies); fenced
-  // ranks' arrival cells are tombstoned to always-arrived, so skipping them
-  // here is belt-and-braces that also avoids touching reclaimed lines.
-  int coord = eng.lowest_alive();
   resil::fault_point(resil::Site::kBarrierArrive, r);
   cw.barrier_arrive(r, seq);
-  if (r == coord) {
-    for (int i = 0; i < n; ++i) {
-      if (i == r || eng.rank_fenced(i)) continue;
-      spin_until(eng, resil::Site::kBarrierRelease, i,
-                 [&] { return cw.barrier_arrived(i, seq); });
-    }
-    cw.barrier_release(seq);
-  } else {
-    spin_until(eng, resil::Site::kBarrierRelease, coord,
-               [&] { return cw.barrier_released(seq); });
+  // All-poll: every rank waits for every survivor's arrival itself, so the
+  // barrier is one hop with no coordinator. Fenced ranks' cells are
+  // tombstoned to always-arrived; skipping them also avoids touching
+  // reclaimed lines.
+  for (int i = 0; i < n; ++i) {
+    if (i == r || eng.rank_fenced(i)) continue;
+    spin_until(eng, resil::Site::kBarrierRelease, i,
+               [&] { return cw.barrier_arrived(i, seq); });
   }
 }
 
@@ -208,7 +210,7 @@ void Comm::shm_barrier() {
   trace::Span sp(eng.tracer(), trace::kCollBarrier, trace::Mode::kRings);
   // Degraded worlds always run flat: the k-ary schedule assumes rank 0 is
   // the releaser and every interior node forwards, neither of which holds
-  // once a rank is fenced. Flat with a survivor coordinator does.
+  // once a rank is fenced. The coordinator-free flat schedule does.
   if (!eng.any_fenced() &&
       static_cast<std::uint32_t>(size()) >= eng.barrier_tree_ranks()) {
     eng.counters().coll_barrier_tree++;
@@ -238,8 +240,7 @@ void Comm::barrier_p2p() {
 void Comm::barrier() {
   Engine& eng = engine_;
   CollScope obs(eng, trace::kOpBarrier, 0);
-  if (size() > 1 && eng.coll_view().valid() &&
-      eng.world().coll_mode() != coll::Mode::kP2p) {
+  if (size() > 1 && arena_open(eng)) {
     eng.counters().coll_shm_ops++;
     shm_barrier();
     return;
@@ -773,7 +774,7 @@ void Comm::alltoallv(const void* sendbuf, const std::size_t* scounts,
   CollScope obs(eng, trace::kOpAlltoallv, my_row);
   // Per-rank counts are asymmetric, so no local size test is
   // rank-consistent. Auto mode exchanges each rank's total row bytes
-  // through the arena's count-probe cells and gates on the MINIMUM across
+  // through the arena's line cells and gates on the MINIMUM across
   // ranks: a tiny-row participant pays the arena's full per-op
   // synchronisation for almost no payload, so it anchors the crossover
   // (worth ~0.6 us/op at 2 ranks, the gating PR 4 gave up). Forced modes
@@ -1314,6 +1315,45 @@ void Comm::reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op,
                        [&] { return cw.acked(w, epoch, 1); });
 }
 
+/// One-hop reduction of an operand of at most coll::kLinePayload bytes.
+/// Every rank copies its operand into its own line cell and RELEASE-
+/// publishes the cell's seq, then waits for every survivor's cell — also
+/// the non-roots of a reduce: that all-read-all is what lets the parity-
+/// double-buffered cells skip a completion handshake (coll_arena.hpp).
+/// The ranks whose `out` matters fold the cells in the p2p oracle's order:
+/// the root's operand seeds (the lowest survivor's when the root is
+/// fenced; allreduce's root is 0), the other survivors follow ascending.
+/// The fold runs in a local line and `out` is written last, so in-place
+/// calls need no special case.
+template <typename T>
+void Comm::reduce_line(const T* in, T* out, std::size_t n, ReduceOp op,
+                       int root, bool all) {
+  Engine& eng = engine_;
+  coll::WorldColl& cw = eng.coll_view();
+  const int p = size(), r = rank();
+  const std::size_t bytes = n * sizeof(T);
+  eng.counters().coll_line_ops++;
+  eng.counters().coll_shm_bytes += bytes;
+  const std::uint64_t seq = eng.next_coll_probe_seq();
+  resil::fault_point(resil::Site::kCollLine, r);
+  cw.probe_publish(r, seq, in, bytes);
+  for (int w = 0; w < p; ++w) {
+    if (w == r || eng.rank_fenced(w)) continue;
+    spin_until(eng, resil::Site::kCollProbe, w,
+               [&] { return cw.probe_ready(w, seq); });
+  }
+  if (!all && r != root) return;
+  const int seed = eng.rank_fenced(root) ? eng.lowest_alive() : root;
+  T acc[coll::kLinePayload / sizeof(T)];
+  std::memcpy(acc, cw.probe_payload(seed, seq), bytes);
+  for (int w = 0; w < p; ++w) {
+    if (w == seed || eng.rank_fenced(w)) continue;
+    fold_chunk(eng, op, acc,
+               reinterpret_cast<const T*>(cw.probe_payload(w, seq)), n);
+  }
+  std::memcpy(out, acc, bytes);
+}
+
 template <typename T>
 void Comm::reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
                            int root, bool all) {
@@ -1334,6 +1374,14 @@ void Comm::reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
   // argument, so the gate stays world-symmetric.
   if ((all || root == 0) && use_hier_coll(n * sizeof(T))) {
     reduce_hier<T>(in, out, n, op, root, all, cs);
+    return;
+  }
+  // A line-sized operand takes one hop through the line cells whenever the
+  // arena is open, whatever coll_activation says, instead of the p2p
+  // path's serial gather and bcast hops.
+  if (n * sizeof(T) <= coll::kLinePayload && arena_open(eng)) {
+    eng.counters().coll_shm_ops++;
+    reduce_line<T>(in, out, n, op, root, all);
     return;
   }
   if (use_shm_coll(n * sizeof(T), need)) {

@@ -532,21 +532,19 @@ Cell* Engine::try_get_cell() {
 Cell* Engine::get_cell_blocking() {
   resil::WaitGuard guard = make_guard(resil::Site::kCellAlloc, -1);
   std::uint32_t spins = 0;
-  for (;;) {
-    Cell* c = try_get_cell();
-    if (c != nullptr) return c;
-    // Our cells come back when receivers drain them; drain our own traffic
-    // meanwhile so the system cannot deadlock on cell exhaustion.
-    progress();
-    if ((++spins & 0x3F) == 0) {
-      try {
-        guard.check();
-      } catch (const resil::PeerDeadError& e) {
-        peer_death_fence(e);
-        throw;
-      }
+  try {
+    for (;;) {
+      Cell* c = try_get_cell();
+      if (c != nullptr) return c;
+      // Our cells come back when receivers drain them; drain our own
+      // traffic meanwhile so the system cannot deadlock on cell exhaustion.
+      progress();
+      if ((++spins & 0x3F) == 0) guard.check();
+      std::this_thread::yield();
     }
-    std::this_thread::yield();
+  } catch (const resil::PeerDeadError& e) {
+    peer_death_fence(e);
+    throw;
   }
 }
 
@@ -664,19 +662,17 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
     {
       resil::WaitGuard guard = make_guard(resil::Site::kPendingCtrl, -1);
       std::uint32_t spins = 0;
-      while (!pending_ctrl_.empty()) {
-        progress();
-        if (!pending_ctrl_.empty()) {
-          if ((++spins & 0x3F) == 0) {
-            try {
-              guard.check();
-            } catch (const resil::PeerDeadError& e) {
-              peer_death_fence(e);
-              throw;
-            }
+      try {
+        while (!pending_ctrl_.empty()) {
+          progress();
+          if (!pending_ctrl_.empty()) {
+            if ((++spins & 0x3F) == 0) guard.check();
+            std::this_thread::yield();
           }
-          std::this_thread::yield();
         }
+      } catch (const resil::PeerDeadError& e) {
+        peer_death_fence(e);
+        throw;
       }
     }
     std::size_t off = 0;
@@ -1217,7 +1213,14 @@ void Engine::wait(const Request& req) {
 
 bool Engine::test(const Request& req) {
   NEMO_ASSERT(req != nullptr);
-  if (!req->complete) progress();
+  if (!req->complete) {
+    try {
+      progress();
+    } catch (const resil::PeerDeadError& e) {
+      peer_death_fence(e);
+      throw;
+    }
+  }
   return req->complete;
 }
 
@@ -1257,6 +1260,10 @@ void Engine::reclaim_fenced() noexcept {
 void Engine::peer_death_fence(int dead_rank, resil::Site site,
                               bool from_timeout) noexcept {
   (void)from_timeout;  // The guard already recorded timeout_aborts.
+  // A verdict thrown by a backend inside progress() unwound past its
+  // in_progress_ reset; every catch site lands here, so clear it on this
+  // cold path rather than guarding the hot one.
+  in_progress_ = false;
   if (dead_rank < 0 || dead_rank >= nranks()) return;
   auto d = static_cast<std::size_t>(dead_rank);
   if (fenced_[d] != 0) return;  // Idempotent per dead rank.
@@ -1359,10 +1366,15 @@ void Comm::fence_world() {
   resil::WaitGuard guard = eng.make_guard(resil::Site::kFenceSync, -1);
   std::uint32_t spins = 0;
   auto bounded_wait = [&](auto&& pred) {
-    while (!pred()) {
-      eng.progress();
-      if ((++spins & 0x3F) == 0) guard.check();
-      std::this_thread::yield();
+    try {
+      while (!pred()) {
+        eng.progress();
+        if ((++spins & 0x3F) == 0) guard.check();
+        std::this_thread::yield();
+      }
+    } catch (const resil::PeerDeadError& e) {
+      eng.peer_death_fence(e);
+      throw;
     }
   };
   bounded_wait([&] {

@@ -352,8 +352,8 @@ class Engine {
   /// every rank runs the same collective schedule, and each shm collective
   /// issues the same number of arena barriers on every rank.
   std::uint64_t next_coll_barrier_seq() { return ++coll_bar_seq_; }
-  /// Next count-probe sequence (auto-mode alltoallv's size proxy); lock-step
-  /// across ranks for the same reason.
+  /// Next line-cell sequence (alltoallv's count probe and the one-hop small
+  /// reduce share it); lock-step across ranks for the same reason.
   std::uint64_t next_coll_probe_seq() { return ++coll_probe_seq_; }
   /// World size at/above which the arena barrier runs the k-ary tree
   /// schedule (cached from the tuning table at construction).
@@ -543,7 +543,7 @@ class Engine {
   trace::Histogram* progress_hist_ = nullptr;
   coll::WorldColl coll_;  ///< View of the world's collective arena.
   std::uint64_t coll_bar_seq_ = 0;    ///< Arena-barrier sequence issued.
-  std::uint64_t coll_probe_seq_ = 0;  ///< Count-probe sequence issued.
+  std::uint64_t coll_probe_seq_ = 0;  ///< Line-cell sequence issued.
   std::uint32_t barrier_tree_ranks_ = UINT32_MAX;  ///< Tuned tree threshold.
   std::uint32_t barrier_tree_k_ = 4;               ///< Tuned tree fan-in.
   transport::Transport* xport_ = nullptr;  ///< World-owned transport.
@@ -700,7 +700,7 @@ class Comm {
   void tree_barrier();
 
   /// Auto-mode alltoallv's rank-consistent size proxy: exchange each
-  /// rank's total row bytes through the arena's count-probe cells and
+  /// rank's total row bytes through the arena's line cells and
   /// return the minimum — every rank computes the same value, so the
   /// family decision cannot diverge even though counts are asymmetric.
   std::size_t alltoallv_min_row_bytes(const std::size_t* scounts);
@@ -730,6 +730,11 @@ class Comm {
   template <typename T>
   void reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op, int root,
                   bool all, std::uint64_t epoch);
+  /// One-hop reduction of an operand of at most coll::kLinePayload bytes
+  /// through the arena's line cells (every rank folds every cell).
+  template <typename T>
+  void reduce_line(const T* in, T* out, std::size_t n, ReduceOp op, int root,
+                   bool all);
 
   // Hierarchical two-level collectives (src/coll/coll_hier.cpp): intranode
   // leg through the collective arena under one NUMA-chosen leader per

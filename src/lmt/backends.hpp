@@ -139,7 +139,9 @@ std::unique_ptr<Backend> make_backend(LmtKind kind, core::Engine& eng);
 /// Receiver: offer the sender a split of the copy of `src` (resolved from
 /// ctx's cookie), then copy this side's chunks. Without an offer it copies
 /// the whole message. Returns true when every byte has landed; false sets
-/// ctx.coop, and the caller polls knem::Device::coop_complete().
+/// ctx.coop, and the caller polls knem::Device::coop_complete(). A sender
+/// whose pid is gone (ESRCH from the cross-process read) is marked dead and
+/// surfaces as PeerDeadError(peer, cma_rendezvous).
 bool coop_recv(core::Engine& eng, RecvCtx& ctx,
                const knem::Device::Resolved& src);
 

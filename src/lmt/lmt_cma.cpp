@@ -70,17 +70,9 @@ bool CmaBackend::recv_progress(RecvCtx& ctx) {
         dev.note_cma_read(r->total);
         return done;
       } catch (const SysError& e) {
+        // (A dead sender's ESRCH already surfaced from coop_recv as a
+        // PeerDeadError: staging would wait forever on it.)
         int err = e.sys_errno();
-        if (err == ESRCH) {
-          // The sender's pid is gone: that is a death verdict, not a
-          // capability problem — staging would wait forever on a sender
-          // that can never fulfil it. Flag the shared liveness cell so
-          // every rank converts the verdict eagerly, then fail this wait.
-          resil::Liveness live = eng_.world().liveness();
-          if (live.valid() && ctx.peer >= 0) live.mark_dead(ctx.peer);
-          throw resil::PeerDeadError(ctx.peer, resil::Site::kCmaRendezvous,
-                                     /*from_timeout=*/false);
-        }
         if (err != EPERM && err != ENOSYS) throw;
         // Kernel refused the attach: degrade to the staged path below. An
         // offered split may be part-copied; the stage rewrites every byte.

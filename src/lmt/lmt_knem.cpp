@@ -5,8 +5,19 @@
 
 namespace nemo::lmt {
 
-bool coop_recv(core::Engine& eng, RecvCtx& ctx,
-               const knem::Device::Resolved& src) {
+namespace {
+
+/// A cross-process copy found the peer's pid gone (ESRCH): that is a death
+/// verdict, not a capability problem. Flag the shared liveness cell so
+/// every rank converts it eagerly, then fail this rank's wait on it.
+[[noreturn]] void peer_gone(core::Engine& eng, int peer, resil::Site site) {
+  resil::Liveness live = eng.world().liveness();
+  if (live.valid() && peer >= 0) live.mark_dead(peer);
+  throw resil::PeerDeadError(peer, site, /*from_timeout=*/false);
+}
+
+bool coop_recv_copy(core::Engine& eng, RecvCtx& ctx,
+                    const knem::Device::Resolved& src) {
   knem::Device& dev = eng.knem_device();
   const core::World& world = eng.world();
   const std::uint64_t cookie = ctx.rts.knem_cookie;
@@ -26,6 +37,20 @@ bool coop_recv(core::Engine& eng, RecvCtx& ctx,
   return dev.coop_complete(cookie);
 }
 
+}  // namespace
+
+bool coop_recv(core::Engine& eng, RecvCtx& ctx,
+               const knem::Device::Resolved& src) {
+  try {
+    return coop_recv_copy(eng, ctx, src);
+  } catch (const SysError& e) {
+    // The sender died after publishing its RTS: its pages are gone, and
+    // no staging fallback could ever be fulfilled.
+    if (e.sys_errno() != ESRCH) throw;
+    peer_gone(eng, ctx.peer, resil::Site::kCmaRendezvous);
+  }
+}
+
 bool coop_send(core::Engine& eng, SendCtx& ctx) {
   if (ctx.coop_settled) return true;
   std::optional<std::uint64_t> moved;
@@ -33,13 +58,9 @@ bool coop_send(core::Engine& eng, SendCtx& ctx) {
     moved = eng.knem_device().coop_send(
         ctx.knem_cookie, std::span<const ConstSegment>(ctx.segs));
   } catch (const SysError& e) {
-    // The receiver's pid vanished under a CMA write: a death verdict, as
-    // in the CMA receive path.
+    // The receiver's pid vanished under a CMA write.
     if (e.sys_errno() != ESRCH) throw;
-    resil::Liveness live = eng.world().liveness();
-    if (live.valid()) live.mark_dead(ctx.peer);
-    throw resil::PeerDeadError(ctx.peer, resil::Site::kLmtCoop,
-                               /*from_timeout=*/false);
+    peer_gone(eng, ctx.peer, resil::Site::kLmtCoop);
   }
   if (!moved) return false;
   ctx.coop_settled = true;

@@ -20,6 +20,7 @@ const char* site_name(Site s) {
     case Site::kCmaRendezvous: return "cma_rendezvous";
     case Site::kFastboxPut: return "fastbox_put";
     case Site::kLmtCoop: return "lmt_coop";
+    case Site::kCollLine: return "coll_line";
     case Site::kCollDoorbell: return "coll_doorbell";
     case Site::kCollAck: return "coll_ack";
     case Site::kCollProbe: return "coll_probe";
@@ -38,7 +39,7 @@ const char* site_name(Site s) {
 std::optional<Site> crash_site_from_string(const std::string& s) {
   for (auto site : {Site::kCollDeposit, Site::kCollFold, Site::kBarrierArrive,
                     Site::kCmaRendezvous, Site::kFastboxPut,
-                    Site::kLmtCoop}) {
+                    Site::kLmtCoop, Site::kCollLine}) {
     if (s == site_name(site)) return site;
   }
   return std::nullopt;

@@ -50,11 +50,12 @@ enum class Site : std::uint8_t {
   kCmaRendezvous,     ///< sender just published an RTS for a CMA transfer
   kFastboxPut,        ///< sender about to write an eager fastbox slot
   kLmtCoop,           ///< sender about to copy a claimed co-copy chunk
+  kCollLine,          ///< rank about to publish a small-reduce line cell
   // Wait sites (where a bounded wait can observe the death).
   kCollDoorbell,      ///< waiting for a slot header / chunk doorbell
   kCollAck,           ///< waiting for a consumer ack
-  kCollProbe,         ///< waiting for an alltoallv probe cell
-  kBarrierRelease,    ///< waiting for the barrier release word
+  kCollProbe,         ///< waiting for a line cell (count probe/small reduce)
+  kBarrierRelease,    ///< waiting for barrier arrivals or the release word
   kCollGather,        ///< hier node leader waiting for members
   kEngineWait,        ///< Engine::wait on an incomplete request
   kCellAlloc,         ///< waiting for a free ctrl cell

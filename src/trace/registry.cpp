@@ -235,6 +235,7 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   coll.set("barrier_flat", c.coll_barrier_flat);
   coll.set("barrier_tree", c.coll_barrier_tree);
   coll.set("hier_ops", c.coll_hier_ops);
+  coll.set("line_ops", c.coll_line_ops);
   j.set("coll", std::move(coll));
 
   Json resil = Json::object();

@@ -29,6 +29,7 @@ Counters& Counters::operator+=(const Counters& o) {
   coll_barrier_flat += o.coll_barrier_flat;
   coll_barrier_tree += o.coll_barrier_tree;
   coll_hier_ops += o.coll_hier_ops;
+  coll_line_ops += o.coll_line_ops;
   peer_deaths += o.peer_deaths;
   fence_epochs += o.fence_epochs;
   reclaimed_slots += o.reclaimed_slots;

@@ -50,6 +50,9 @@ struct Counters {
   std::uint64_t coll_barrier_tree = 0;  ///< Arena barriers run k-ary tree.
   std::uint64_t coll_hier_ops = 0;  ///< Collectives that ran the two-level
                                     ///< (leader/transport) schedule.
+  std::uint64_t coll_line_ops = 0;  ///< Reductions folded one hop through
+                                    ///< the arena's line cells (also in
+                                    ///< coll_shm_ops).
 
   // Resilience telemetry (src/resil/): death verdicts and the recovery
   // fence's work, observed from this rank.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -177,22 +178,28 @@ TEST_P(FaultMatrix, KillAtCmaRendezvous) {
   int victim = 2;
   int receiver = 3;
   // The victim dies right after publishing its RTS; only the posted
-  // receiver depends on it. Everyone else returns untouched.
+  // receiver depends on it. Everyone else returns untouched. Both
+  // single-copy backends read the private send buffer across the process
+  // boundary: the dead sender's ESRCH must surface as the same verdict.
   Scenario sc{"cma_rendezvous",
               {Site::kCmaRendezvous, Site::kEngineWait, Site::kCellAlloc,
                Site::kPendingCtrl}};
-  run_scenario(n, victim, sc, lmt::LmtKind::kCma,
-               [=](Comm& comm, int v) {
-                 static std::vector<std::byte> buf(4 * MiB);
-                 if (comm.rank() == v) {
-                   Request r = comm.isend(buf.data(), buf.size(), receiver, 9);
-                   (void)r;  // The fault point fires inside start_send.
-                 } else if (comm.rank() == receiver) {
-                   ::usleep(300 * 1000);  // Let the victim die first.
-                   comm.recv(buf.data(), buf.size(), v, 9);
-                 }
-               },
-               {receiver});
+  for (lmt::LmtKind kind : {lmt::LmtKind::kCma, lmt::LmtKind::kKnem}) {
+    SCOPED_TRACE(lmt::to_string(kind));
+    run_scenario(n, victim, sc, kind,
+                 [=](Comm& comm, int v) {
+                   static std::vector<std::byte> buf(4 * MiB);
+                   if (comm.rank() == v) {
+                     Request r =
+                         comm.isend(buf.data(), buf.size(), receiver, 9);
+                     (void)r;  // The fault point fires inside start_send.
+                   } else if (comm.rank() == receiver) {
+                     ::usleep(300 * 1000);  // Let the victim die first.
+                     comm.recv(buf.data(), buf.size(), v, 9);
+                   }
+                 },
+                 {receiver});
+  }
 }
 
 TEST_P(FaultMatrix, KillAtFastboxPut) {
@@ -237,6 +244,20 @@ TEST_P(FaultMatrix, KillAtLmtCoop) {
                  }
                },
                {receiver});
+}
+
+TEST_P(FaultMatrix, KillAtCollLine) {
+  int n = GetParam();
+  int victim = 2;
+  // A one-double allreduce takes the line cells: the victim dies before
+  // publishing its cell, and every survivor waits on that cell.
+  Scenario sc{"coll_line", {Site::kCollProbe, Site::kEngineWait}};
+  run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
+               [](Comm& comm, int) {
+                 double in = 1.0, out = 0.0;
+                 comm.allreduce_f64(&in, &out, 1, Comm::ReduceOp::kSum);
+               },
+               all_but(n, victim));
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, FaultMatrix, ::testing::Values(4, 8));
@@ -305,6 +326,94 @@ TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
           for (std::size_t i = 0; i < out.size(); ++i)
             if (out[i] != 4.0 + kSurvivors * static_cast<double>(i))
               return 25;
+          comm.barrier();
+          return 0;
+        },
+        [&](int r, int code) {
+          if (code != 0 && live.valid()) live.mark_dead(r);
+        });
+    EXPECT_EQ(res.exit_codes[kVictim], 256 + SIGKILL);
+    for (int r = 0; r < kRanks; ++r) {
+      if (r != kVictim) {
+        EXPECT_EQ(res.exit_codes[static_cast<std::size_t>(r)], 0)
+            << "survivor " << r;
+      }
+    }
+  }
+  resil::reload_fault();
+  EXPECT_NE(::access(("/dev/shm" + name).c_str(), F_OK), 0)
+      << "shm segment leaked";
+}
+
+TEST(FaultRecovery, BackendVerdictLeavesProgressUsable) {
+  // A verdict thrown by an LMT backend unwinds out of Engine::progress().
+  // The receiver that caught it must still make progress afterwards: after
+  // fence_world() it exchanges a small and a large message with another
+  // survivor (a stuck progress flag would hang both).
+  constexpr int kRanks = 4;
+  constexpr int kVictim = 2;
+  constexpr int kReceiver = 3;
+  constexpr int kPeer = 1;
+  Config cfg;
+  cfg.nranks = kRanks;
+  cfg.mode = LaunchMode::kProcesses;
+  cfg.lmt = lmt::LmtKind::kKnem;
+  cfg.shm_name = test_shm_name();
+  cfg.peer_timeout_ms = 10000;
+  cfg.on_peer_death = resil::OnPeerDeath::kDegrade;
+  cfg.coll = coll::Mode::kShm;
+  std::string name = cfg.shm_name;
+  {
+    World world(cfg);
+    resil::Liveness live = world.liveness();
+    ScopedEnv fault("NEMO_FAULT",
+                    std::to_string(kVictim) + ":cma_rendezvous:kill");
+    resil::reload_fault();
+    shm::ProcessResult res = shm::run_forked_ranks(
+        kRanks,
+        [&](int rank) {
+          world.reattach_in_child();
+          Comm comm(world, rank);
+          world.hard_barrier(rank);
+          ::alarm(120);  // A hang fails the test instead of the suite.
+          static std::vector<std::byte> big(4 * MiB);
+          try {
+            if (rank == kVictim) {
+              Request r = comm.isend(big.data(), big.size(), kReceiver, 9);
+              (void)r;
+              return kVictimSurvived;
+            }
+            if (rank == kReceiver) {
+              ::usleep(300 * 1000);  // Let the victim die first.
+              comm.recv(big.data(), big.size(), kVictim, 9);
+            } else {
+              comm.barrier();  // Blocks on the victim's arrival.
+            }
+            return kNoVerdict;
+          } catch (const resil::PeerDeadError& e) {
+            if (e.rank != kVictim) return kWrongRank;
+            // The receiver's verdict must be the backend's own.
+            if (rank == kReceiver && e.site != Site::kCmaRendezvous)
+              return kWrongSite;
+          }
+          comm.fence_world();
+          if (rank == kReceiver || rank == kPeer) {
+            int other = rank == kReceiver ? kPeer : kReceiver;
+            std::uint64_t token = 0x5EED0000u + static_cast<unsigned>(rank);
+            std::uint64_t got = 0;
+            Request s = comm.isend(&token, sizeof token, other, 11);
+            comm.recv(&got, sizeof got, other, 11);
+            comm.wait(s);
+            if (got != 0x5EED0000u + static_cast<unsigned>(other)) return 24;
+            if (rank == kPeer) {
+              std::fill(big.begin(), big.end(), std::byte{0x3C});
+              comm.send(big.data(), big.size(), kReceiver, 12);
+            } else {
+              comm.recv(big.data(), big.size(), kPeer, 12);
+              for (std::byte b : big)
+                if (b != std::byte{0x3C}) return 25;
+            }
+          }
           comm.barrier();
           return 0;
         },
