@@ -5,7 +5,7 @@
 // the shm path must show both lower wall time and lower simulated copy
 // volume at the ISSUE's acceptance points (8-rank 256 KiB bcast, 4-rank
 // 64 KiB-per-pair alltoall, 8-rank 256 KiB allreduce), and the barrier
-// section races the flat gather against the k-ary tree schedule.
+// section times the flat all-poll barrier.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -133,13 +133,9 @@ double real_strided_us(coll::Mode mode, int nranks, std::size_t bytes,
   return result;
 }
 
-/// Microseconds per barrier round under the given schedule (shm arena path
-/// forced; the schedule knob picks flat vs tree).
-double real_barrier_us(bool tree, int nranks, int iters, int samples) {
+/// Microseconds per barrier round (shm arena path forced).
+double real_barrier_us(int nranks, int iters, int samples) {
   coll::ScopedForcedMode forced(coll::Mode::kShm);
-  // The schedule IS the row being measured: an ambient NEMO_BARRIER_TREE
-  // must not redirect it.
-  ScopedEnv sched("NEMO_BARRIER_TREE", tree ? "on" : "off");
   core::Config cfg;
   cfg.coll = coll::Mode::kShm;
   cfg.nranks = nranks;
@@ -311,79 +307,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Barrier microbench: flat vs k-ary tree arrival schedule, per rank
-  // count. `bytes` is 0 (a barrier moves no payload); the sim column is the
-  // modelled critical-path nanoseconds per round.
-  std::printf("# Barrier — flat vs tree arrival schedule\n");
+  // Barrier microbench: the flat all-poll schedule per rank count. `bytes`
+  // is 0 (a barrier moves no payload); the sim column is the modelled
+  // critical-path nanoseconds per round.
+  std::printf("# Barrier — flat all-poll schedule\n");
   int bar_iters = smoke ? 50 : 200;
-  // The full sweep adds 16 ranks, where a k-ary tree would first pay off.
   std::vector<int> barrier_ranks = rank_counts;
   if (!smoke) barrier_ranks.push_back(16);
   for (int nranks : barrier_ranks) {
-    for (bool tree : {false, true}) {
-      sim::LmtModels m(sim::e5345_machine());
-      double sim_ns = m.barrier_coll_ns(tree, nranks, 4);
-      double wall_us =
-          real ? real_barrier_us(tree, nranks, bar_iters, samples) : 0.0;
-      const char* path = tree ? "tree" : "flat";
-      std::printf("%-9s %5d %9d %5s %12.2f %12.0f %14d %12d\n", "barrier",
-                  nranks, 0, path, wall_us, sim_ns, 0, 0);
-      char row[512];
-      std::snprintf(row, sizeof row,
-                    "{\"op\": \"barrier\", \"ranks\": %d, \"bytes\": 0, "
-                    "\"mode\": \"%s\", \"wall_us\": %.3f, \"sim_ns\": %.1f}",
-                    nranks, path, wall_us, sim_ns);
-      rows.emplace_back(row);
-    }
-  }
-
-  // Hierarchical two-level collectives over the modeled interconnect: the
-  // leader-based schedule (auto + NEMO_COLL_HIER) vs the flat pt2pt family
-  // per NxM topology, compared on modeled wire nanoseconds per op (summed
-  // over ranks — deterministic, host-independent) next to the analytic
-  // sim::allreduce_net_ns hop model. The flat baseline is pt2pt because
-  // the arena's cross-node loads never touch the transport; see
-  // bench_common::modeled_net_ns_per_op. The committed baseline must show
-  // hier < flat from 8 nodes up (it already wins at 2).
-  std::printf("# Hierarchical allreduce — modeled NxM topologies, 256 KiB\n");
-  std::printf("%-9s %6s %6s %14s %14s\n", "op", "topo", "path", "net_ns_op",
-              "model_ns");
-  struct Topo {
-    int nodes, per;
-  };
-  std::vector<Topo> topos = smoke
-                                ? std::vector<Topo>{{2, 4}, {8, 2}}
-                                : std::vector<Topo>{{2, 4},
-                                                    {4, 2},
-                                                    {4, 4},
-                                                    {8, 2},
-                                                    {8, 4},
-                                                    {16, 2}};
-  int hier_iters = smoke ? 2 : 4;
-  std::size_t hier_bytes = 256 * KiB;
-  sim::NetLink link;
-  for (const Topo& t : topos) {
-    for (bool hier : {false, true}) {
-      double net_ns =
-          real ? modeled_net_ns_per_op("allreduce", hier, t.nodes, t.per,
-                                       hier_bytes, hier_iters)
-               : 0.0;
-      double model_ns =
-          sim::allreduce_net_ns(link, t.nodes, t.per, hier_bytes, hier);
-      char topo[16];
-      std::snprintf(topo, sizeof topo, "%dx%d", t.nodes, t.per);
-      const char* path = hier ? "hier" : "flat";
-      std::printf("%-9s %6s %6s %14.0f %14.0f\n", "allreduce", topo, path,
-                  net_ns, model_ns);
-      char row[512];
-      std::snprintf(row, sizeof row,
-                    "{\"op\": \"allreduce\", \"topo\": \"%s\", "
-                    "\"nodes\": %d, \"per_node\": %d, \"bytes\": %zu, "
-                    "\"mode\": \"%s\", \"net_ns_op\": %.1f, "
-                    "\"model_net_ns\": %.1f}",
-                    topo, t.nodes, t.per, hier_bytes, path, net_ns, model_ns);
-      rows.emplace_back(row);
-    }
+    sim::LmtModels m(sim::e5345_machine());
+    double sim_ns = m.barrier_coll_ns(nranks);
+    double wall_us = real ? real_barrier_us(nranks, bar_iters, samples) : 0.0;
+    std::printf("%-9s %5d %9d %5s %12.2f %12.0f %14d %12d\n", "barrier",
+                nranks, 0, "flat", wall_us, sim_ns, 0, 0);
+    char row[512];
+    std::snprintf(row, sizeof row,
+                  "{\"op\": \"barrier\", \"ranks\": %d, \"bytes\": 0, "
+                  "\"mode\": \"flat\", \"wall_us\": %.3f, \"sim_ns\": %.1f}",
+                  nranks, wall_us, sim_ns);
+    rows.emplace_back(row);
   }
 
   // Trace-overhead budget rows: the 8-rank 256 KiB shm allreduce with

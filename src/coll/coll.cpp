@@ -1,7 +1,5 @@
 #include "coll/coll.hpp"
 
-#include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "common/options.hpp"
@@ -49,31 +47,6 @@ bool use_shm(Mode mode, std::size_t op_bytes, std::size_t coll_activation,
     case Mode::kAuto: return op_bytes >= coll_activation;
   }
   return false;
-}
-
-int choose_leader(const std::vector<int>& node_of_rank) {
-  // Count ranks per known node; plurality wins, ties to the lower node id.
-  std::map<int, int> per_node;
-  for (int node : node_of_rank)
-    if (node >= 0) per_node[node]++;
-  if (per_node.empty()) return 0;
-  int best_node = -1, best_count = 0;
-  for (const auto& [node, count] : per_node)
-    if (count > best_count) {  // First-wins on ties: map iterates ascending.
-      best_node = node;
-      best_count = count;
-    }
-  if (per_node.size() == 1) return 0;  // Single node: rank 0, as pre-v2.
-  for (std::size_t r = 0; r < node_of_rank.size(); ++r)
-    if (node_of_rank[r] == best_node) return static_cast<int>(r);
-  return 0;
-}
-
-std::uint32_t default_barrier_tree_k(const Topology& topo) {
-  if (topo.num_cores < 1) return 4;
-  unsigned sharers = topo.cores_sharing_largest_cache(0);
-  if (sharers < 2) return 4;
-  return std::clamp<std::uint32_t>(sharers, 2, 8);
 }
 
 ScopedForcedMode::ScopedForcedMode(Mode mode)

@@ -14,11 +14,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/common.hpp"
 #include "common/options.hpp"
-#include "common/topology.hpp"
 
 namespace nemo::coll {
 
@@ -50,21 +48,6 @@ std::size_t alltoall_chunk_capacity(std::size_t slot_bytes, int nranks);
 /// geometry cannot host the op and even a forced kShm falls back).
 bool use_shm(Mode mode, std::size_t op_bytes, std::size_t coll_activation,
              int nranks, std::size_t chunk_capacity);
-
-/// NUMA-aware leader choice for one node's members in the hierarchical
-/// collectives: the member whose NUMA node backs the plurality of members
-/// (operand buffers and poll traffic are node-local to their writers, so
-/// the node's fold should run where most operands live). Ties go to the
-/// lower node id; the leader is the lowest member on the winning node.
-/// `node_of_rank[r]` is member r's backing node, -1 = unknown. Single-node
-/// and all-unknown maps fall back to member 0.
-int choose_leader(const std::vector<int>& node_of_rank);
-
-/// Formula fan-in for the k-ary tree barrier on `topo`: the number of cores
-/// sharing a last-level cache (arrivals within one LLC domain are cheap, so
-/// one parent can gather a whole domain), clamped to [2, 8]; hosts with
-/// private LLCs get 4 (gather cost is uniform, so a shallow-ish tree wins).
-std::uint32_t default_barrier_tree_k(const Topology& topo);
 
 /// RAII pin of the collective mode for Worlds constructed in scope.
 /// Setting Config::coll alone is not enough for tooling that must force a

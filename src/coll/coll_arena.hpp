@@ -6,7 +6,7 @@
 // World can mbind/interleave it — every rank reads every slot, so no single
 // home node is right):
 //
-//   CollState                      geometry + the tree-barrier release word
+//   CollState                      geometry
 //   BarrierCell[nranks]            per-rank arrival flags (padded)
 //   AckCell[nranks]                per-rank consumption counters (padded)
 //   ProbeCell[2 * nranks]          per-rank seq-tagged line cells: count
@@ -47,12 +47,7 @@
 //    sequence. One hop, no coordinator and no release word: O(n) lines
 //    read per rank, each written once per barrier. A fast rank's next
 //    arrival (seq + 1) still satisfies a straggler's `>= seq` wait, so the
-//    flags never need resetting. Past the tuned `barrier_tree_ranks` the
-//    arrival phase instead combines up a k-ary tree over the same cells: a
-//    parent publishes its flag only after its children's flags, rank 0
-//    gathers k flags instead of n-1 and RELEASE-stores the global release
-//    word every other rank spins on. core/collectives.cpp picks flat vs
-//    tree world-symmetrically from the tuning table.
+//    flags never need resetting.
 //
 //  - Line cells. Two rank-consistent one-hop exchanges go through the
 //    seq-tagged ProbeCells, each one cache line: a seq word plus a
@@ -120,7 +115,6 @@ struct CollState {
   alignas(kCacheLine) std::uint32_t nranks;
   std::uint32_t slot_bytes;   ///< Payload capacity per rank.
   std::uint64_t slot_stride;  ///< Header + table + payload, line-rounded.
-  alignas(kCacheLine) std::uint64_t release_seq;  ///< Tree-barrier release.
 };
 
 /// View over one world's collective arena (cheap to copy; the engine keeps
@@ -320,13 +314,6 @@ class WorldColl {
   }
   [[nodiscard]] bool barrier_arrived(int r, std::uint64_t seq) const {
     return shm::aref(barrier_[r].seq).load(std::memory_order_acquire) >= seq;
-  }
-  void barrier_release(std::uint64_t seq) const {
-    shm::aref(st_->release_seq).store(seq, std::memory_order_release);
-  }
-  [[nodiscard]] bool barrier_released(std::uint64_t seq) const {
-    return shm::aref(st_->release_seq).load(std::memory_order_acquire) >=
-           seq;
   }
 
   // --- Death-fence reclamation ---------------------------------------------

@@ -1,5 +1,7 @@
 #include "common/options.hpp"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -108,16 +110,12 @@ const std::vector<KnobInfo>& Config::knobs() {
   static const std::vector<KnobInfo> table = {
       {"NEMO_BACKEND", KnobType::kString, "tuned",
        "tune", "preferred rendezvous backend: default|vmsplice|knem|cma"},
-      {"NEMO_BARRIER_TREE", KnobType::kString, "tuned",
-       "coll", "tree barrier: off, on, or min ranks to switch to the tree"},
       {"NEMO_CMA", KnobType::kString, "on",
        "lmt", "cross-memory attach: on|off (nosyscall simulates EPERM)"},
       {"NEMO_COLL", KnobType::kString, "auto",
        "coll", "collective algorithm family: auto|shm|p2p"},
       {"NEMO_COLL_ACTIVATION", KnobType::kSize, "tuned",
        "coll", "min payload bytes before collectives use the shm arena"},
-      {"NEMO_COLL_HIER", KnobType::kString, "tuned",
-       "coll", "hierarchical collectives: off, on, or min synthetic nodes"},
       {"NEMO_COLL_SLOT_BYTES", KnobType::kSize, "tuned",
        "coll", "per-rank payload slot bytes in the collective arena"},
       {"NEMO_DMA_MIN", KnobType::kSize, "formula",
@@ -133,12 +131,6 @@ const std::vector<KnobInfo>& Config::knobs() {
        "lmt", "large-message backend: auto|shm|vmsplice|writev|knem|cma"},
       {"NEMO_LMT_ACTIVATION", KnobType::kSize, "tuned",
        "lmt", "eager/rendezvous switchover bytes"},
-      {"NEMO_NET_BW_MBS", KnobType::kInt, "12000",
-       "transport", "modeled internode link bandwidth, MiB/s"},
-      {"NEMO_NET_LAT_NS", KnobType::kInt, "1500",
-       "transport", "modeled internode link latency, ns"},
-      {"NEMO_NODES", KnobType::kString, "1 node",
-       "transport", "synthetic topology NxM: N nodes of M ranks each"},
       {"NEMO_NT_MIN", KnobType::kSize, "tuned",
        "shm", "min bytes before copies use non-temporal stores"},
       {"NEMO_NUMA", KnobType::kFlag, "1",
@@ -164,8 +156,6 @@ const std::vector<KnobInfo>& Config::knobs() {
        "trace", "write a nemo-trace/1 dump to this path at exit"},
       {"NEMO_TRACE_RING_SLOTS", KnobType::kInt, "8192",
        "trace", "per-rank trace ring capacity in events"},
-      {"NEMO_TRANSPORT", KnobType::kString, "auto",
-       "transport", "transport: shm|modeled (auto: modeled iff NEMO_NODES>1)"},
       {"NEMO_TUNE", KnobType::kFlag, "1",
        "tune", "consult the fingerprinted tuning cache"},
       {"NEMO_TUNE_CACHE", KnobType::kString, "fingerprinted path",
@@ -208,6 +198,18 @@ long Config::integer(const char* name, long def) {
 bool Config::flag(const char* name, bool def) {
   NEMO_ASSERT(registered(name).type == KnobType::kFlag);
   return env_flag(name, def);
+}
+
+void Config::reject_unknown_env() {
+  for (char** e = environ; *e != nullptr; ++e) {
+    std::string_view kv(*e);
+    if (kv.rfind("NEMO_", 0) != 0) continue;
+    std::string name(kv.substr(0, kv.find('=')));
+    if (find(name.c_str()) == nullptr)
+      throw std::invalid_argument(name +
+                                  ": unknown NEMO_* knob (nemo-tune --knobs "
+                                  "lists the registered ones)");
+  }
 }
 
 void Options::finalize() const {

@@ -101,6 +101,11 @@ class Config {
 
   /// Boolean knob; throws on anything outside the on/off vocabulary.
   static bool flag(const char* name, bool def);
+
+  /// Throw std::invalid_argument naming the first NEMO_* environment
+  /// variable that is not a registered knob, so a typo or a retired knob
+  /// fails bring-up instead of silently running the default path.
+  static void reject_unknown_env();
 };
 
 /// RAII env pin with save/restore — for tooling, benches and tests that

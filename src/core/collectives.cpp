@@ -33,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/coll_internal.hpp"
 #include "core/comm.hpp"
 #include "shm/nt_copy.hpp"
 
@@ -41,11 +40,85 @@ namespace nemo::core {
 
 namespace {
 
-using coll_detail::coll_tag;
-using coll_detail::epoch_base;
-using coll_detail::fold_chunk;
-using coll_detail::spin_until;
-using coll_detail::spin_until_quiet;
+constexpr int kCollTagBase = -(1 << 20);
+
+/// Distinct tag for (collective instance, phase). Phases 0..15.
+int coll_tag(std::uint64_t coll_seq, int phase) {
+  return kCollTagBase - static_cast<int>((coll_seq % 4096) * 16) - phase;
+}
+
+/// Arena epoch for collective instance `cs` (3 phase bits appended; +1
+/// keeps epoch 0 reserved for "slot never used").
+std::uint64_t epoch_base(std::uint64_t cs) { return (cs + 1) << 3; }
+
+/// The slow path of every arena wait: spin until `ready()` while keeping
+/// pt2pt progress flowing. Bounded: the liveness guard turns a dead peer
+/// into PeerDeadError (running the local epoch fence first) instead of
+/// spinning forever. `watch` is the specific rank the wait depends on, -1
+/// when any peer could unblock it. Kept out of line: inlined into the
+/// line-cell reduce's per-rank wait loop, the guard and unwind code made
+/// the 8 B allreduce ~15% slower.
+template <typename Pred>
+[[gnu::noinline]] void spin_wait(Engine& eng, resil::Site site, int watch,
+                                 Pred&& ready) {
+  resil::WaitGuard guard = eng.make_guard(site, watch);
+  std::uint32_t spins = 0;
+  try {
+    while (!ready()) {
+      if ((++spins & 0x3F) == 0) {
+        eng.progress();
+        guard.check();
+        std::this_thread::yield();
+      }
+    }
+  } catch (const resil::PeerDeadError& e) {
+    eng.peer_death_fence(e);
+    throw;
+  }
+}
+
+/// Wait for a slot epoch or doorbell: a first probe that misses counts one
+/// epoch stall (telemetry for "readers arrive before writers publish",
+/// coll_epoch_stalls over coll_shm_ops).
+template <typename Pred>
+void spin_until(Engine& eng, resil::Site site, int watch, Pred&& ready) {
+  if (ready()) return;
+  eng.counters().coll_epoch_stalls++;
+  if (trace::on()) eng.tracer().emit(trace::kEpochStall, trace::kInstant);
+  spin_wait(eng, site, watch, ready);
+}
+
+/// Wait without the stall telemetry: barrier arrivals, line cells, count
+/// probes and ack drains are not slot epochs.
+template <typename Pred>
+void spin_until_quiet(Engine& eng, resil::Site site, int watch,
+                      Pred&& ready) {
+  if (!ready()) spin_wait(eng, site, watch, ready);
+}
+
+simd::Op to_simd(Comm::ReduceOp op) {
+  switch (op) {
+    case Comm::ReduceOp::kSum: return simd::Op::kSum;
+    case Comm::ReduceOp::kProd: return simd::Op::kProd;
+    case Comm::ReduceOp::kMin: return simd::Op::kMin;
+    case Comm::ReduceOp::kMax: return simd::Op::kMax;
+  }
+  return simd::Op::kSum;
+}
+
+/// One per-chunk combine: dst[i] = op(dst[i], src[i]) through the engine's
+/// resolved kernel. Element-wise vertical folds only, so every kernel is
+/// bit-identical to the scalar oracle and the ascending-rank fold order
+/// stays intact.
+template <typename T>
+void fold_chunk(Engine& eng, Comm::ReduceOp op, T* dst, const T* src,
+                std::size_t n) {
+  simd::Kernel k = eng.simd_kernel();
+  simd::fold(k, to_simd(op), dst, src, n);
+  auto ki = static_cast<std::size_t>(k);
+  eng.counters().simd_fold_ops[ki]++;
+  eng.counters().simd_fold_bytes[ki] += n * sizeof(T);
+}
 
 std::uint64_t next_coll_seq(Engine& eng) { return eng.bump_coll_seq(); }
 
@@ -157,14 +230,13 @@ bool Comm::use_shm_coll(std::size_t op_bytes, std::size_t slot_need) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena barrier (shm): flat below the tuned barrier_tree_ranks, k-ary tree
-// at/above it. Both schedules share the same arrival cells, so the choice is
-// pure scheduling — but it must be world-symmetric (every rank reads the
-// same tuning table), or ranks would wait on arrival flags nobody publishes.
+// Arena barrier (shm)
 // ---------------------------------------------------------------------------
 
 void Comm::flat_barrier() {
   Engine& eng = engine_;
+  trace::Span sp(eng.tracer(), trace::kCollBarrier, trace::Mode::kRings);
+  eng.counters().coll_barrier_flat++;
   coll::WorldColl& cw = eng.coll_view();
   int n = size(), r = rank();
   std::uint64_t seq = eng.next_coll_barrier_seq();
@@ -176,48 +248,8 @@ void Comm::flat_barrier() {
   // reclaimed lines.
   for (int i = 0; i < n; ++i) {
     if (i == r || eng.rank_fenced(i)) continue;
-    spin_until(eng, resil::Site::kBarrierRelease, i,
-               [&] { return cw.barrier_arrived(i, seq); });
-  }
-}
-
-void Comm::tree_barrier() {
-  Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  int n = size(), r = rank();
-  long k = static_cast<long>(eng.barrier_tree_k());
-  std::uint64_t seq = eng.next_coll_barrier_seq();
-  // Gather up the k-ary tree: a parent's flag asserts its whole subtree
-  // arrived, so rank 0 polls k lines instead of n-1.
-  long first_child = k * r + 1;
-  for (long c = first_child; c < first_child + k && c < n; ++c) {
-    int child = static_cast<int>(c);
-    spin_until(eng, resil::Site::kBarrierRelease, child,
-               [&] { return cw.barrier_arrived(child, seq); });
-  }
-  if (r == 0) {
-    cw.barrier_release(seq);
-  } else {
-    resil::fault_point(resil::Site::kBarrierArrive, r);
-    cw.barrier_arrive(r, seq);
-    spin_until(eng, resil::Site::kBarrierRelease, 0,
-               [&] { return cw.barrier_released(seq); });
-  }
-}
-
-void Comm::shm_barrier() {
-  Engine& eng = engine_;
-  trace::Span sp(eng.tracer(), trace::kCollBarrier, trace::Mode::kRings);
-  // Degraded worlds always run flat: the k-ary schedule assumes rank 0 is
-  // the releaser and every interior node forwards, neither of which holds
-  // once a rank is fenced. The coordinator-free flat schedule does.
-  if (!eng.any_fenced() &&
-      static_cast<std::uint32_t>(size()) >= eng.barrier_tree_ranks()) {
-    eng.counters().coll_barrier_tree++;
-    tree_barrier();
-  } else {
-    eng.counters().coll_barrier_flat++;
-    flat_barrier();
+    spin_until_quiet(eng, resil::Site::kBarrierRelease, i,
+                     [&] { return cw.barrier_arrived(i, seq); });
   }
 }
 
@@ -242,7 +274,7 @@ void Comm::barrier() {
   CollScope obs(eng, trace::kOpBarrier, 0);
   if (size() > 1 && arena_open(eng)) {
     eng.counters().coll_shm_ops++;
-    shm_barrier();
+    flat_barrier();
     return;
   }
   eng.counters().coll_p2p_ops++;
@@ -359,10 +391,6 @@ void Comm::bcast(void* buf, std::size_t bytes, int root) {
   if (size() == 1) return;
   Engine& eng = engine_;
   CollScope obs(eng, trace::kOpBcast, bytes);
-  if (use_hier_coll(bytes)) {
-    bcast_hier(buf, bytes, root, next_coll_seq(eng));
-    return;
-  }
   std::size_t need =
       eng.coll_view().valid() &&
               ack_budget_ok(eng.coll_view().slot_bytes(), bytes)
@@ -517,7 +545,7 @@ void Comm::allgather_shm(const void* sendbuf, std::size_t per_rank,
     }
     // Reuse gate: no writer may overwrite its slot (or return, freeing its
     // direct-read buffer) before every reader finished the round.
-    shm_barrier();
+    flat_barrier();
   }
 }
 
@@ -597,12 +625,6 @@ void Comm::alltoall(const void* sendbuf, std::size_t per_rank,
   }
   Engine& eng = engine_;
   CollScope obs(eng, trace::kOpAlltoall, per_rank);
-  // The hierarchical path may decline (leader staging over budget); every
-  // rank computes the same verdict, so the shared fall-through below stays
-  // world-symmetric (the hier check consumed one seq on every rank).
-  if (use_hier_coll(per_rank) &&
-      alltoall_hier(sendbuf, per_rank, recvbuf, next_coll_seq(eng)))
-    return;
   if (use_shm_coll(per_rank,
                    coll::alltoall_chunk_capacity(
                        eng.coll_view().valid() ? eng.coll_view().slot_bytes()
@@ -731,7 +753,7 @@ void Comm::alltoallv_shm(const void* sendbuf, const std::size_t* scounts,
       std::size_t len = std::min(cap, rcounts[w] - off);
       std::memcpy(dst + off, cw.payload(w) + dest_index(w, r) * cap, len);
     }
-    shm_barrier();
+    flat_barrier();
   }
 }
 
@@ -907,7 +929,7 @@ void Comm::alltoall_strided_shm(const void* sendbuf, const Datatype& sdt,
   }
   // Reuse gate: no writer may overwrite its slot before every reader
   // unpacked this round.
-  shm_barrier();
+  flat_barrier();
 }
 
 void Comm::alltoall_strided_p2p(const void* sendbuf, const Datatype& sdt,
@@ -996,7 +1018,7 @@ void Comm::allgather_strided_shm(const void* sendbuf, const Datatype& sdt,
     unpack_from(cw.payload(w), rdt, count,
                 out + static_cast<std::size_t>(w) * rext);
   }
-  shm_barrier();
+  flat_barrier();
 }
 
 void Comm::allgather_strided_p2p(const void* sendbuf, const Datatype& sdt,
@@ -1339,8 +1361,8 @@ void Comm::reduce_line(const T* in, T* out, std::size_t n, ReduceOp op,
   cw.probe_publish(r, seq, in, bytes);
   for (int w = 0; w < p; ++w) {
     if (w == r || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollProbe, w,
-               [&] { return cw.probe_ready(w, seq); });
+    spin_until_quiet(eng, resil::Site::kCollProbe, w,
+                     [&] { return cw.probe_ready(w, seq); });
   }
   if (!all && r != root) return;
   const int seed = eng.rank_fenced(root) ? eng.lowest_alive() : root;
@@ -1368,14 +1390,6 @@ void Comm::reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
   std::size_t need =
       kLaneBufs * static_cast<std::size_t>(size()) * kCacheLine;
   std::uint64_t cs = next_coll_seq(eng);
-  // Hierarchical two-level schedule: auto mode, enough synthetic nodes, and
-  // (for reduce) root 0 — the chain fold reproduces the flat ascending
-  // order only when the fold seeds at rank 0. `root` is a symmetric
-  // argument, so the gate stays world-symmetric.
-  if ((all || root == 0) && use_hier_coll(n * sizeof(T))) {
-    reduce_hier<T>(in, out, n, op, root, all, cs);
-    return;
-  }
   // A line-sized operand takes one hop through the line cells whenever the
   // arena is open, whatever coll_activation says, instead of the p2p
   // path's serial gather and bcast hops.

@@ -92,6 +92,7 @@ std::size_t auto_arena_bytes(const Config& cfg,
 /// Environment knobs override the programmatic Config so any entry point
 /// (tests, benches, applications) can be retuned without a rebuild.
 Config apply_env(Config cfg) {
+  nemo::Config::reject_unknown_env();
   if (nemo::Config::str("NEMO_RING_BUFS")) {
     long rb = nemo::Config::integer("NEMO_RING_BUFS", 0);
     if (rb < 1 || rb > 1024)
@@ -139,8 +140,6 @@ Config apply_env(Config cfg) {
       throw std::invalid_argument(
           "NEMO_ON_PEER_DEATH: expected abort|degrade, got '" + *v + "'");
   }
-  if (auto v = nemo::Config::str("NEMO_TRANSPORT")) cfg.transport = *v;
-  if (auto v = nemo::Config::str("NEMO_NODES")) cfg.nodes_spec = *v;
   if (auto v = nemo::Config::str("NEMO_LMT")) {
     if (*v == "auto")
       cfg.lmt = lmt::LmtKind::kAuto;
@@ -186,12 +185,6 @@ World::World(Config cfg)
   trace::reload_mode();
   resil::reload_fault();
   NEMO_ASSERT(cfg_.nranks >= 1);
-  // The transport: substrate topology + link accounting. Constructed before
-  // any Engine so the cached has_hooks() gate and the synthetic-node map
-  // are fixed for the life of the world (children inherit the heap object
-  // across fork; it holds no arena state).
-  xport_ = transport::make_transport(cfg_.transport, cfg_.nodes_spec,
-                                     cfg_.nranks);
   NEMO_ASSERT_MSG(cfg_.core_binding.empty() ||
                       cfg_.core_binding.size() ==
                           static_cast<std::size_t>(cfg_.nranks),
@@ -418,8 +411,6 @@ Engine::Engine(World& world, int rank)
     coll_ = coll::WorldColl(world.arena(), world.coll_off());
   const tune::TuningTable& tuning = world.tuning();
   fastbox_max_ = tuning.fastbox_max;
-  barrier_tree_ranks_ = std::max<std::uint32_t>(2, tuning.barrier_tree_ranks);
-  barrier_tree_k_ = std::max<std::uint32_t>(2, tuning.barrier_tree_k);
   // Fold kernel and pack threshold resolve once here: NEMO_SIMD already
   // overrode the table row (with_env_overrides), so resolving the table
   // choice against CPUID is the full precedence chain. pack_nt_min 0 means
@@ -427,9 +418,6 @@ Engine::Engine(World& world, int rank)
   simd_kernel_ = simd::resolve(tuning.simd_kernel);
   pack_nt_min_ = tuning.pack_nt_min != 0 ? tuning.pack_nt_min
                                          : shm::nt_default_threshold();
-  xport_ = &world.xport();
-  xport_hooks_ = xport_->has_hooks();
-  coll_hier_nodes_ = std::max<std::uint32_t>(2, tuning.coll_hier_nodes);
   live_ = world.liveness();
   peer_timeout_ms_ = world.peer_timeout_ms();
   on_death_ = world.on_peer_death();
@@ -452,26 +440,7 @@ Engine::Engine(World& world, int rank)
       fb_in_[static_cast<std::size_t>(r)] =
           shm::Fastbox(world.arena(), world.fastbox_off(r, rank));
     }
-    if (xport_hooks_ && r != rank) xport_->connect(rank, r);
   }
-}
-
-void Engine::note_net(int peer, std::size_t bytes,
-                      const transport::XferCost& c, bool ctrl) {
-  if (!c.internode) return;
-  if (ctrl) {
-    counters_.net_ctrl_msgs++;
-    if (trace::on(trace::Mode::kFull))
-      tracer_.emit(trace::kNetCtrl, trace::kInstant,
-                   static_cast<std::uint64_t>(peer));
-  } else {
-    counters_.net_msgs++;
-    counters_.net_bytes += bytes;
-    if (trace::on(trace::Mode::kRings))
-      tracer_.emit(trace::kNetLink, trace::kInstant,
-                   static_cast<std::uint64_t>(peer), bytes);
-  }
-  counters_.net_modeled_ns += c.ns;
 }
 
 Engine::~Engine() {
@@ -589,7 +558,6 @@ void Engine::send_ctrl(int dst, CellType type, std::uint32_t seq,
   pc.context = context;
   pc.has_wire = wire != nullptr;
   if (wire != nullptr) pc.wire = *wire;
-  if (xport_hooks_) note_net(dst, 0, xport_->on_doorbell(rank_, dst), true);
   if (!pending_ctrl_.empty() || !try_send_ctrl(pc))
     pending_ctrl_.push_back(pc);
 }
@@ -646,8 +614,6 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
         stats_.bytes_sent += total;
         counters_.fastbox_hits++;
         counters_.record_send(total, tune::Counters::kPathFastbox);
-        if (xport_hooks_)
-          note_net(dst, total, xport_->on_eager(rank_, dst, total), false);
         req->complete = true;
         return req;
       }
@@ -712,8 +678,6 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
     stats_.eager_msgs_sent++;
     stats_.bytes_sent += total;
     counters_.record_send(total, tune::Counters::kPathEager);
-    if (xport_hooks_ && dst != rank_)
-      note_net(dst, total, xport_->on_eager(rank_, dst, total), false);
     req->complete = true;  // Payload is buffered in cells.
     return req;
   }
@@ -723,8 +687,6 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
   if (trace::on())
     tracer_.emit(trace::kLmtActivate, trace::kInstant,
                  static_cast<std::uint64_t>(dst), total);
-  if (xport_hooks_)
-    note_net(dst, total, xport_->on_lmt(rank_, dst, total), false);
   auto ctx = std::make_unique<lmt::SendCtx>();
   ctx->peer = dst;
   ctx->tag = tag;
@@ -1157,7 +1119,6 @@ void Engine::progress() {
 
   progress_sends();
   progress_recvs();
-  if (xport_hooks_) xport_->progress(rank_);
   if (traced) tracer_.emit(trace::kProgress, trace::kEnd);
   if (rings_on) {
     if (progress_hist_ != nullptr) {
@@ -1177,14 +1138,6 @@ void Engine::progress() {
                    trace::kGaugeProgressPasses, counters_.progress_passes);
       tracer_.emit(trace::kSnapshot, trace::kCounter,
                    trace::kGaugeCollShmOps, counters_.coll_shm_ops);
-      if (xport_hooks_) {
-        tracer_.emit(trace::kSnapshot, trace::kCounter, trace::kGaugeNetMsgs,
-                     counters_.net_msgs);
-        tracer_.emit(trace::kSnapshot, trace::kCounter, trace::kGaugeNetBytes,
-                     counters_.net_bytes);
-        tracer_.emit(trace::kSnapshot, trace::kCounter,
-                     trace::kGaugeNetModeledNs, counters_.net_modeled_ns);
-      }
     }
   }
   in_progress_ = false;

@@ -36,7 +36,6 @@
 #include "simd/simd.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
-#include "transport/transport.hpp"
 #include "tune/counters.hpp"
 #include "tune/tuning.hpp"
 
@@ -123,14 +122,6 @@ struct Config {
   bool cma_sim_fail = false;
 
   std::string shm_name;  ///< Nonempty: shm_open-backed arena (else anon).
-
-  /// Transport selection: "shm", "modeled", or "auto" (modeled iff the
-  /// topology spec names more than one synthetic node). NEMO_TRANSPORT
-  /// overrides.
-  std::string transport = "auto";
-  /// Synthetic-node topology spec "NxM" (N nodes of M ranks each; N*M must
-  /// equal nranks). Empty = one node. NEMO_NODES overrides.
-  std::string nodes_spec;
 
   /// Peer liveness timeout for every formerly-unbounded wait (doorbells,
   /// acks, barriers, rendezvous). resil::kTimeoutOff (NEMO_PEER_TIMEOUT_MS
@@ -252,11 +243,6 @@ class World {
     return cfg_.on_peer_death;
   }
 
-  /// The world's transport (implementation #1 shm or #2 modeled; see
-  /// src/transport/). Owns topology (synthetic nodes) and per-link cost
-  /// accounting; delivery always rides the shm substrate.
-  [[nodiscard]] transport::Transport& xport() const { return *xport_; }
-
   /// Arena-backed allocation visible to every rank (MPI_Alloc_mem-like).
   std::byte* shared_alloc(std::size_t bytes, std::size_t align = kCacheLine);
 
@@ -272,7 +258,6 @@ class World {
   Config cfg_;
   Topology topo_;
   tune::TuningTable tuning_;  ///< Resolved before the arena (sizes fastboxes).
-  std::unique_ptr<transport::Transport> xport_;
   shm::Arena arena_;
   shm::PipeMatrix pipes_;
   std::vector<shm::RankQueues> rank_queues_;
@@ -355,15 +340,6 @@ class Engine {
   /// Next line-cell sequence (alltoallv's count probe and the one-hop small
   /// reduce share it); lock-step across ranks for the same reason.
   std::uint64_t next_coll_probe_seq() { return ++coll_probe_seq_; }
-  /// World size at/above which the arena barrier runs the k-ary tree
-  /// schedule (cached from the tuning table at construction).
-  [[nodiscard]] std::uint32_t barrier_tree_ranks() const {
-    return barrier_tree_ranks_;
-  }
-  /// Tree fan-in (cached, clamped >= 2).
-  [[nodiscard]] std::uint32_t barrier_tree_k() const {
-    return barrier_tree_k_;
-  }
   /// Reduction kernel every fold on this rank runs (NEMO_SIMD > tuning
   /// table > CPUID best; resolved once at construction).
   [[nodiscard]] simd::Kernel simd_kernel() const { return simd_kernel_; }
@@ -374,16 +350,6 @@ class Engine {
   /// Resolve the LMT kind for a message (exposed for tests/benches).
   lmt::LmtKind resolve_kind(std::size_t bytes, int dst, bool collective);
 
-  /// The world's transport (topology + link accounting).
-  [[nodiscard]] transport::Transport& transport() const { return *xport_; }
-  /// Cached Transport::has_hooks(): false keeps every hook call off the
-  /// shm hot path (the zero-regression guard).
-  [[nodiscard]] bool transport_hooks() const { return xport_hooks_; }
-  /// Min synthetic nodes before collectives go hierarchical (tuned
-  /// coll_hier_nodes / NEMO_COLL_HIER; UINT32_MAX = never).
-  [[nodiscard]] std::uint32_t coll_hier_nodes() const {
-    return coll_hier_nodes_;
-  }
 
   // --- liveness / recovery --------------------------------------------------
   /// This rank's view of the liveness table (valid whenever the world's is).
@@ -481,12 +447,6 @@ class Engine {
 
   lmt::Backend& backend_for(lmt::LmtKind kind);
 
-  /// Account one transport hook result: counters, and the kNetLink /
-  /// kNetCtrl trace events for internode traffic. Only called behind
-  /// transport_hooks().
-  void note_net(int peer, std::size_t bytes, const transport::XferCost& c,
-                bool ctrl);
-
   World& world_;
   int rank_;
   lmt::Policy policy_;
@@ -544,11 +504,6 @@ class Engine {
   coll::WorldColl coll_;  ///< View of the world's collective arena.
   std::uint64_t coll_bar_seq_ = 0;    ///< Arena-barrier sequence issued.
   std::uint64_t coll_probe_seq_ = 0;  ///< Line-cell sequence issued.
-  std::uint32_t barrier_tree_ranks_ = UINT32_MAX;  ///< Tuned tree threshold.
-  std::uint32_t barrier_tree_k_ = 4;               ///< Tuned tree fan-in.
-  transport::Transport* xport_ = nullptr;  ///< World-owned transport.
-  bool xport_hooks_ = false;  ///< Cached has_hooks() (hot-path gate).
-  std::uint32_t coll_hier_nodes_ = UINT32_MAX;  ///< Tuned hier threshold.
   simd::Kernel simd_kernel_ = simd::Kernel::kScalar;  ///< Resolved fold ISA.
   std::size_t pack_nt_min_ = SIZE_MAX;  ///< Tuned pack->NT-store cutoff.
   /// Largest eager message routed through the pair fastboxes (the tuned
@@ -692,12 +647,9 @@ class Comm {
   /// requires (0 capacity forces pt2pt even under NEMO_COLL=shm).
   bool use_shm_coll(std::size_t op_bytes, std::size_t slot_need);
 
-  /// One arena-barrier round: the k-ary tree schedule at/above the tuned
-  /// barrier_tree_ranks, flat below it (both keep pt2pt progress flowing
-  /// while spinning).
-  void shm_barrier();
+  /// One arena-barrier round: the all-poll flat schedule (keeps pt2pt
+  /// progress flowing while spinning).
   void flat_barrier();
-  void tree_barrier();
 
   /// Auto-mode alltoallv's rank-consistent size proxy: exchange each
   /// rank's total row bytes through the arena's line cells and
@@ -735,22 +687,6 @@ class Comm {
   template <typename T>
   void reduce_line(const T* in, T* out, std::size_t n, ReduceOp op, int root,
                    bool all);
-
-  // Hierarchical two-level collectives (src/coll/coll_hier.cpp): intranode
-  // leg through the collective arena under one NUMA-chosen leader per
-  // synthetic node, internode leg over the (modeled) transport between
-  // leaders. Engaged in auto mode when the transport partitions the world
-  // into >= coll_hier_nodes nodes; fold order is the flat ascending-rank
-  // order, so results are bit-identical to the p2p/shm algorithms.
-  /// World-symmetric gate (same answer on every rank). `op_bytes` is the
-  /// op's symmetric size measure (0 = degenerate op, stays flat).
-  bool use_hier_coll(std::size_t op_bytes);
-  void bcast_hier(void* buf, std::size_t bytes, int root, std::uint64_t cs);
-  bool alltoall_hier(const void* sendbuf, std::size_t per_rank, void* recvbuf,
-                     std::uint64_t cs);
-  template <typename T>
-  void reduce_hier(const T* in, T* out, std::size_t n, ReduceOp op, int root,
-                   bool all, std::uint64_t cs);
 
   template <typename T>
   void reduce_impl(const T* in, T* out, std::size_t n, ReduceOp op, int root,

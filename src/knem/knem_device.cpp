@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -187,7 +188,6 @@ std::uint64_t Device::submit_send(std::span<const ConstSegment> segs) {
   slot->flags = 0;
   slot->more = kNil;
   slot->owner_arena_base = reinterpret_cast<std::uint64_t>(arena_->base());
-  slot->stage_off = kNil;
   aref(slot->stage_state).store(0, std::memory_order_relaxed);
   aref(slot->coop_state).store(kCoopPending, std::memory_order_relaxed);
   aref(slot->coop_next).store(0, std::memory_order_relaxed);
@@ -266,7 +266,6 @@ void Device::release(std::uint64_t cookie_id) {
   auto* s = const_cast<CookieSlot*>(cs);
   free_chain(s);
   s->id = 0;
-  s->stage_off = kNil;
   aref(s->stage_state).store(0, std::memory_order_relaxed);
   aref(s->state).store(0, std::memory_order_release);
 }
@@ -326,14 +325,12 @@ KnemResult Device::recv_sync(std::uint64_t cookie_id,
     stat_add(st_->stats.dma_recv_cmds, 1);
     // Synchronous I/OAT mode: submit, then poll the status byte before
     // returning to "user space".
-    volatile std::uint8_t status =
-        static_cast<std::uint8_t>(shm::DmaStatus::kPending);
+    std::uint8_t status = static_cast<std::uint8_t>(shm::DmaStatus::kPending);
     SegmentList loc(local.begin(), local.end());
     engine->submit_copy_with_status(shm::RemoteMemPort(r->mode, r->pid),
                                     r->segs, std::move(loc), &status);
-    while (status == static_cast<std::uint8_t>(shm::DmaStatus::kPending))
+    while (shm::load_status(status) == shm::DmaStatus::kPending)
       std::this_thread::yield();
-    std::atomic_thread_fence(std::memory_order_acquire);
   } else {
     // CPU copy on the calling (receiver) core.
     shm::RemoteMemPort port(r->mode, r->pid);
@@ -345,7 +342,7 @@ KnemResult Device::recv_sync(std::uint64_t cookie_id,
 
 KnemResult Device::recv_async(std::uint64_t cookie_id, SegmentList local,
                               std::uint32_t flags, shm::DmaEngine& engine,
-                              volatile std::uint8_t* status) {
+                              std::uint8_t* status) {
   auto r = resolve(cookie_id);
   if (!r) return KnemResult::kBadCookie;
   std::size_t cap = 0;
@@ -370,8 +367,12 @@ std::uint64_t Device::request_stage(std::uint64_t cookie_id) {
   if (state != 0) return s->stage_off;  // Already requested.
   // Publish the buffer offset before flipping the request word so the
   // sender's acquire load sees a valid destination.
-  s->stage_off = arena_->alloc(cs->total_bytes > 0 ? cs->total_bytes : 1,
-                               kCacheLine);
+  std::uint64_t need =
+      std::bit_ceil(std::max<std::uint64_t>(cs->total_bytes, 1));
+  if (s->stage_cap < need) {
+    s->stage_off = arena_->alloc(need, kCacheLine);
+    s->stage_cap = need;
+  }
   aref(s->stage_state).store(1, std::memory_order_release);
   stat_add(st_->stats.cma_stage_fallbacks, 1);
   return s->stage_off;

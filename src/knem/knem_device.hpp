@@ -99,7 +99,11 @@ struct CookieSlot {
   /// CMA staging fallback (atomic): 0 unused, 1 receiver requested a staged
   /// copy (stage_off published), 2 sender finished copying into the stage.
   std::uint64_t stage_state;
-  std::uint64_t stage_off;  ///< Arena offset of the staging buffer.
+  /// Arena offset and power-of-two capacity of this slot's staging buffer.
+  /// Both outlive the cookie: the bump arena cannot free, so the next
+  /// cookie in the slot reuses the buffer whenever it is large enough.
+  std::uint64_t stage_off;
+  std::uint64_t stage_cap;
   shm::RemoteSegment inline_segs[kInlineSegs];
   std::uint64_t more;     ///< First SegBlock offset or kNil.
   // Cooperative copy (see Device::coop_offer). The receiver writes the
@@ -195,7 +199,7 @@ class Device {
   /// write on `engine`; poll `*status` for DmaStatus::kSuccess.
   KnemResult recv_async(std::uint64_t cookie_id, SegmentList local,
                         std::uint32_t flags, shm::DmaEngine& engine,
-                        volatile std::uint8_t* status);
+                        std::uint8_t* status);
 
   // -- CMA staging fallback (receiver-driven downgrade when the CMA
   //    syscalls fail at transfer time: EPERM from ptrace_scope/seccomp).

@@ -110,7 +110,7 @@ struct RecvCtx {
   std::size_t bytes_moved = 0;
   std::size_t seg_idx = 0;
   std::size_t seg_off = 0;
-  volatile std::uint8_t async_status = 0;  ///< KNEM async completion byte.
+  std::uint8_t async_status = 0;  ///< KNEM async completion byte.
   bool async_submitted = false;
   bool coop = false;  ///< Co-copy offered; poll the cookie until complete.
 

@@ -146,12 +146,7 @@ bool KnemBackend::recv_progress(RecvCtx& ctx) {
     return false;
   }
   // Poll the status byte the engine writes in order, behind the payload.
-  if (ctx.async_status ==
-      static_cast<std::uint8_t>(shm::DmaStatus::kSuccess)) {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return true;
-  }
-  return false;
+  return shm::load_status(ctx.async_status) == shm::DmaStatus::kSuccess;
 }
 
 std::unique_ptr<Backend> make_backend(LmtKind kind, core::Engine& eng) {

@@ -25,7 +25,6 @@ const char* site_name(Site s) {
     case Site::kCollAck: return "coll_ack";
     case Site::kCollProbe: return "coll_probe";
     case Site::kBarrierRelease: return "barrier_release";
-    case Site::kCollGather: return "coll_gather";
     case Site::kEngineWait: return "engine_wait";
     case Site::kCellAlloc: return "cell_alloc";
     case Site::kPendingCtrl: return "pending_ctrl";

@@ -55,8 +55,7 @@ enum class Site : std::uint8_t {
   kCollDoorbell,      ///< waiting for a slot header / chunk doorbell
   kCollAck,           ///< waiting for a consumer ack
   kCollProbe,         ///< waiting for a line cell (count probe/small reduce)
-  kBarrierRelease,    ///< waiting for barrier arrivals or the release word
-  kCollGather,        ///< hier node leader waiting for members
+  kBarrierRelease,    ///< waiting for the flat barrier's arrivals
   kEngineWait,        ///< Engine::wait on an incomplete request
   kCellAlloc,         ///< waiting for a free ctrl cell
   kPendingCtrl,       ///< draining the deferred ctrl queue

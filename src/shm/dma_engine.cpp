@@ -44,7 +44,7 @@ void DmaEngine::submit_copy(RemoteMemPort port, RemoteSegmentList remote,
   cv_.notify_one();
 }
 
-void DmaEngine::submit_status_write(volatile std::uint8_t* status,
+void DmaEngine::submit_status_write(std::uint8_t* status,
                                     DmaStatus value) {
   Job j;
   j.is_status = true;
@@ -60,7 +60,7 @@ void DmaEngine::submit_status_write(volatile std::uint8_t* status,
 void DmaEngine::submit_copy_with_status(RemoteMemPort port,
                                         RemoteSegmentList remote,
                                         SegmentList local,
-                                        volatile std::uint8_t* status) {
+                                        std::uint8_t* status) {
   submit_copy(port, std::move(remote), std::move(local));
   submit_status_write(status, DmaStatus::kSuccess);
 }
@@ -107,8 +107,9 @@ void DmaEngine::worker_main() {
 void DmaEngine::execute(const Job& job) {
   if (job.is_status) {
     // Release so payload stores from prior jobs are visible before Success.
-    std::atomic_thread_fence(std::memory_order_release);
-    *job.status = static_cast<std::uint8_t>(job.status_value);
+    std::atomic_ref<std::uint8_t>(*job.status)
+        .store(static_cast<std::uint8_t>(job.status_value),
+               std::memory_order_release);
     return;
   }
   RemoteMemPort port(job.mode, job.peer_pid);

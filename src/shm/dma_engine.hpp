@@ -35,6 +35,13 @@ enum class DmaStatus : std::uint8_t {
   kFailed = 2,
 };
 
+/// Acquire-load of a status byte the engine writes: a poller that reads
+/// kSuccess also sees every byte the jobs queued before it copied.
+[[nodiscard]] inline DmaStatus load_status(std::uint8_t& status) {
+  return static_cast<DmaStatus>(
+      std::atomic_ref<std::uint8_t>(status).load(std::memory_order_acquire));
+}
+
 struct DmaStats {
   std::uint64_t jobs = 0;
   std::uint64_t bytes = 0;
@@ -63,12 +70,11 @@ class DmaEngine {
 
   /// Queue a single-byte status write, executed strictly after everything
   /// already queued (the in-order completion-notification trick).
-  void submit_status_write(volatile std::uint8_t* status, DmaStatus value);
+  void submit_status_write(std::uint8_t* status, DmaStatus value);
 
   /// Convenience: copy followed by trailing status write.
   void submit_copy_with_status(RemoteMemPort port, RemoteSegmentList remote,
-                               SegmentList local,
-                               volatile std::uint8_t* status);
+                               SegmentList local, std::uint8_t* status);
 
   /// Block until the queue is empty and the worker is idle.
   void drain();
@@ -83,7 +89,7 @@ class DmaEngine {
     pid_t peer_pid = 0;
     RemoteSegmentList remote;
     SegmentList local;
-    volatile std::uint8_t* status = nullptr;
+    std::uint8_t* status = nullptr;
     DmaStatus status_value = DmaStatus::kSuccess;
   };
 

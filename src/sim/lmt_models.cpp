@@ -601,25 +601,13 @@ LmtModels::CollOutcome LmtModels::allreduce_coll(bool shm,
   return out_c;
 }
 
-double LmtModels::barrier_coll_ns(bool tree, int nranks, int k) {
-  NEMO_ASSERT(nranks >= 1 && k >= 2);
+double LmtModels::barrier_coll_ns(int nranks) {
+  NEMO_ASSERT(nranks >= 1);
   // An arrival flag is one cache line bouncing between a spinner and the
   // publisher: charge one cache-to-cache transfer per polled flag (the
   // line always misses — another core just wrote it).
   double line_ns = machine_.timing.c2c_ns;
-  if (!tree || nranks < 2)
-    return static_cast<double>(nranks - 1) * line_ns + line_ns;
-  // Parents at each level poll their <= k children sequentially; levels
-  // telescope (a subtree's arrival folds into one flag), so the critical
-  // path is depth * k line transfers plus the release line.
-  int depth = 0;
-  long reach = 1;
-  while (reach < nranks) {
-    reach = reach * k + 1;
-    ++depth;
-  }
-  return static_cast<double>(depth) * static_cast<double>(k) * line_ns +
-         line_ns;
+  return static_cast<double>(nranks) * line_ns;
 }
 
 LmtModels::CollOutcome LmtModels::alltoall_coll(bool shm,
@@ -782,46 +770,6 @@ LmtModels::IsOutcome LmtModels::is_run(Strategy s,
   out.seconds = total_ns * 1e-9;
   out.l2_misses = mem_.caches().l2_misses();
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Modeled-interconnect wire time (the analytic side of the measured
-// net_modeled_ns counters; fig7/coll_sweep print both next to each other).
-// ---------------------------------------------------------------------------
-
-double allreduce_net_ns(const NetLink& link, int nodes, int per_node,
-                        std::size_t bytes, bool hier) {
-  int p = nodes * per_node;
-  if (nodes < 2) return 0.0;
-  double x = link.xfer_ns(bytes);
-  if (hier) {
-    // Leader chain (N-1 sequential hops — the fold is order-dependent) +
-    // binomial bcast of the result over the leaders.
-    int rounds = 0;
-    while ((1 << rounds) < nodes) ++rounds;
-    return (nodes - 1 + rounds) * x;
-  }
-  // Flat gather-fold: all p - per_node off-node operands serialize into
-  // node 0's link. The binomial result bcast crosses a link on every one of
-  // its ceil(log2 p) critical-path rounds once ranks span nodes.
-  int rounds = 0;
-  while ((1 << rounds) < p) ++rounds;
-  return (p - per_node) * x + rounds * x;
-}
-
-double alltoall_net_ns(const NetLink& link, int nodes, int per_node,
-                       std::size_t per_rank, bool hier) {
-  if (nodes < 2) return 0.0;
-  auto m = static_cast<std::size_t>(per_node);
-  if (hier) {
-    // Each leader ships N-1 combined M x M blocks; links run the pairwise
-    // steps concurrently, so one leader's send sequence is the wire time.
-    return (nodes - 1) * link.xfer_ns(m * m * per_rank);
-  }
-  // Flat pairwise exchange: each node's link carries its M ranks' individual
-  // rows to every off-node peer, M * (p - M) messages of per_rank bytes.
-  return static_cast<double>(m) * static_cast<double>((nodes - 1) * per_node) *
-         link.xfer_ns(per_rank);
 }
 
 }  // namespace nemo::sim

@@ -234,7 +234,6 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   coll.set("epoch_stalls", c.coll_epoch_stalls);
   coll.set("barrier_flat", c.coll_barrier_flat);
   coll.set("barrier_tree", c.coll_barrier_tree);
-  coll.set("hier_ops", c.coll_hier_ops);
   coll.set("line_ops", c.coll_line_ops);
   j.set("coll", std::move(coll));
 
@@ -244,13 +243,6 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   resil.set("reclaimed_slots", c.reclaimed_slots);
   resil.set("timeout_aborts", c.timeout_aborts);
   j.set("resil", std::move(resil));
-
-  Json net = Json::object();
-  net.set("msgs", c.net_msgs);
-  net.set("bytes", c.net_bytes);
-  net.set("modeled_ns", c.net_modeled_ns);
-  net.set("ctrl_msgs", c.net_ctrl_msgs);
-  j.set("net", std::move(net));
 
   j.set("um_pool_hits", c.um_pool_hits);
   j.set("um_pool_misses", c.um_pool_misses);

@@ -154,8 +154,6 @@ const char* event_name(std::uint16_t id) {
     case kRingStall: return "ring.stall";
     case kEpochStall: return "coll.epoch_stall";
     case kPeerDeath: return "resil.peer_death";
-    case kNetLink: return "net.link";
-    case kNetCtrl: return "net.ctrl";
     case kSnapshot: return "snapshot";
     default: return "unknown";
   }
@@ -167,9 +165,6 @@ const char* gauge_name(std::uint64_t id) {
     case kGaugeRingStalls: return "ring_stalls";
     case kGaugeProgressPasses: return "progress_passes";
     case kGaugeCollShmOps: return "coll_shm_ops";
-    case kGaugeNetMsgs: return "net_msgs";
-    case kGaugeNetBytes: return "net_bytes";
-    case kGaugeNetModeledNs: return "net_modeled_ns";
     default: return "gauge";
   }
 }

@@ -109,9 +109,6 @@ enum Event : std::uint16_t {
   kRingStall,        // CopyRing full, a0=peer              (rings)
   kEpochStall,       // arena spin missed, a0=waited rank   (rings)
   kPeerDeath,        // death verdict, a0=rank a1=site      (rings)
-  // Transport layer (modeled interconnect; see src/transport/).
-  kNetLink,  // internode transfer, a0=peer a1=bytes        (rings)
-  kNetCtrl,  // internode control doorbell, a0=peer         (full)
   // Counter track samples.
   kSnapshot,  // a0=Gauge a1=value                          (full)
   kEventCount
@@ -127,9 +124,6 @@ enum Gauge : std::uint64_t {
   kGaugeRingStalls,
   kGaugeProgressPasses,
   kGaugeCollShmOps,
-  kGaugeNetMsgs,
-  kGaugeNetBytes,
-  kGaugeNetModeledNs,
   kGaugeCount
 };
 const char* gauge_name(std::uint64_t id);

@@ -44,12 +44,11 @@ struct Counters {
   std::uint64_t coll_p2p_ops = 0;   ///< Collectives on the pt2pt algorithms.
   std::uint64_t coll_shm_bytes = 0; ///< Payload bytes this rank moved via it.
   std::uint64_t coll_fallbacks = 0; ///< shm wanted but geometry forbade it.
-  std::uint64_t coll_epoch_stalls = 0;  ///< Waits on a not-yet-published
-                                        ///< epoch/doorbell/ack/barrier word.
-  std::uint64_t coll_barrier_flat = 0;  ///< Arena barriers run flat.
-  std::uint64_t coll_barrier_tree = 0;  ///< Arena barriers run k-ary tree.
-  std::uint64_t coll_hier_ops = 0;  ///< Collectives that ran the two-level
-                                    ///< (leader/transport) schedule.
+  std::uint64_t coll_epoch_stalls = 0;  ///< Readers that found a slot
+                                        ///< epoch/doorbell not yet published.
+  std::uint64_t coll_barrier_flat = 0;  ///< Arena barriers (all flat).
+  std::uint64_t coll_barrier_tree = 0;  ///< Always 0: the tree barrier is
+                                        ///< gone; kept for report readers.
   std::uint64_t coll_line_ops = 0;  ///< Reductions folded one hop through
                                     ///< the arena's line cells (also in
                                     ///< coll_shm_ops).
@@ -61,13 +60,6 @@ struct Counters {
   std::uint64_t reclaimed_slots = 0;  ///< Arena cells tombstoned by fences.
   std::uint64_t timeout_aborts = 0;   ///< Verdicts from heartbeat timeout
                                       ///< (vs eager reaper/ESRCH flags).
-
-  // Transport layer (src/transport/): internode traffic accounting kept by
-  // the modeled interconnect. All zero under the plain shm transport.
-  std::uint64_t net_msgs = 0;        ///< Messages that crossed a node link.
-  std::uint64_t net_bytes = 0;       ///< Payload bytes across node links.
-  std::uint64_t net_modeled_ns = 0;  ///< Modeled wire time those cost.
-  std::uint64_t net_ctrl_msgs = 0;   ///< Internode control doorbells.
 
   // Unexpected-receive buffer pool (match.hpp freelist).
   std::uint64_t um_pool_hits = 0;    ///< Reused a pooled buffer, no alloc.

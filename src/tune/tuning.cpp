@@ -9,7 +9,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "coll/coll.hpp"
 #include "common/options.hpp"
 #include "shm/fastbox.hpp"
 #include "shm/nt_copy.hpp"
@@ -102,7 +101,6 @@ TuningTable formula_defaults(const Topology& topo) {
       t.for_placement(PairPlacement::kSharedCache).nt_min = llc->size_bytes / 2;
   }
   t.fastbox_max = 2 * KiB - 64;  // Fills a 2 KiB slot.
-  t.barrier_tree_k = coll::default_barrier_tree_k(topo);
   // Packed strided operands stream under the same don't-flush-the-cache
   // bound as the ring copies; the kernel stays CPUID-auto until the simd
   // probe measures a concrete winner.
@@ -134,8 +132,6 @@ TuningTable with_env_overrides(TuningTable t) {
     t.coll_activation = nemo::Config::size("NEMO_COLL_ACTIVATION", t.coll_activation);
   if (auto v = coll_slot_bytes_from_env())
     t.coll_slot_bytes = static_cast<std::uint32_t>(*v);
-  if (auto v = barrier_tree_ranks_from_env()) t.barrier_tree_ranks = *v;
-  if (auto v = coll_hier_nodes_from_env()) t.coll_hier_nodes = *v;
   if (auto v = nemo::Config::str("NEMO_SIMD"))
     t.simd_kernel = simd::choice_from_string(*v, "NEMO_SIMD");
   if (nemo::Config::str("NEMO_PACK_NT_MIN"))
@@ -145,36 +141,6 @@ TuningTable with_env_overrides(TuningTable t) {
   // Config::tuning) passes through here.
   t.fastbox_max = std::min(t.fastbox_max, shm::Fastbox::kMaxPayload);
   return t;
-}
-
-std::optional<std::uint32_t> barrier_tree_ranks_from_env() {
-  auto v = nemo::Config::str("NEMO_BARRIER_TREE");
-  if (!v) return std::nullopt;
-  if (*v == "off" || *v == "0" || *v == "never") return UINT32_MAX;
-  if (*v == "on" || *v == "1" || *v == "always") return 2;
-  char* end = nullptr;
-  long n = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0' || n < 2 || n > UINT32_MAX)
-    throw std::invalid_argument(
-        "NEMO_BARRIER_TREE: '" + *v +
-        "' (off|on|rank threshold >= 2) — a typo silently ignored would "
-        "make barrier experiments unmeasurable");
-  return static_cast<std::uint32_t>(n);
-}
-
-std::optional<std::uint32_t> coll_hier_nodes_from_env() {
-  auto v = nemo::Config::str("NEMO_COLL_HIER");
-  if (!v) return std::nullopt;
-  if (*v == "off" || *v == "0" || *v == "never") return UINT32_MAX;
-  if (*v == "on" || *v == "1" || *v == "always") return 2;
-  char* end = nullptr;
-  long n = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0' || n < 2 || n > UINT32_MAX)
-    throw std::invalid_argument(
-        "NEMO_COLL_HIER: '" + *v +
-        "' (off|on|node threshold >= 2) — a typo silently ignored would "
-        "make topology experiments unmeasurable");
-  return static_cast<std::uint32_t>(n);
 }
 
 std::optional<std::size_t> coll_slot_bytes_from_env() {
@@ -196,11 +162,12 @@ std::string to_json(const TuningTable& t) {
   // Schema 2 added the coll_* fields, schema 3 the barrier_tree_* fields,
   // schema 4 the simd_kernel / pack_nt_min rows, schema 5 the lmt_cma
   // availability/activation row (and the "cma" backend value), schema 6 the
-  // coll_hier_nodes row (hierarchical two-level collectives); schema 7
-  // dropped the fastbox geometry, drain budget, hot-peer polling and
-  // per-placement ring rows. from_json accepts every nemo-tune/N: missing
-  // fields keep their formula defaults and unknown ones are ignored.
-  root.set("schema", std::string("nemo-tune/7"));
+  // coll_hier_nodes row; schema 7 dropped the fastbox geometry, drain
+  // budget, hot-peer polling and per-placement ring rows, and schema 8 the
+  // barrier_tree_* and coll_hier_nodes rows. from_json accepts every
+  // nemo-tune/N: missing fields keep their formula defaults and unknown
+  // ones are ignored.
+  root.set("schema", std::string("nemo-tune/8"));
   root.set("fingerprint", t.fingerprint);
   root.set("source", t.source);
 
@@ -227,13 +194,8 @@ std::string to_json(const TuningTable& t) {
   root.set("coll_activation", static_cast<std::uint64_t>(t.coll_activation));
   root.set("coll_slot_bytes",
            static_cast<std::uint64_t>(t.coll_slot_bytes));
-  root.set("barrier_tree_ranks",
-           static_cast<std::uint64_t>(t.barrier_tree_ranks));
-  root.set("barrier_tree_k", static_cast<std::uint64_t>(t.barrier_tree_k));
   root.set("simd_kernel", std::string(simd::choice_name(t.simd_kernel)));
   root.set("pack_nt_min", static_cast<std::uint64_t>(t.pack_nt_min));
-  root.set("coll_hier_nodes",
-           static_cast<std::uint64_t>(t.coll_hier_nodes));
   return root.dump() + "\n";
 }
 
@@ -277,10 +239,6 @@ std::optional<TuningTable> from_json(const std::string& text,
       (*doc)["coll_activation"].as_uint(t.coll_activation);
   t.coll_slot_bytes = static_cast<std::uint32_t>(
       (*doc)["coll_slot_bytes"].as_uint(t.coll_slot_bytes));
-  t.barrier_tree_ranks = static_cast<std::uint32_t>(
-      (*doc)["barrier_tree_ranks"].as_uint(t.barrier_tree_ranks));
-  t.barrier_tree_k = static_cast<std::uint32_t>(
-      (*doc)["barrier_tree_k"].as_uint(t.barrier_tree_k));
   if (std::string k = (*doc)["simd_kernel"].as_string(); !k.empty()) {
     try {
       t.simd_kernel = simd::choice_from_string(k, "simd_kernel");
@@ -290,14 +248,10 @@ std::optional<TuningTable> from_json(const std::string& text,
     }
   }
   t.pack_nt_min = (*doc)["pack_nt_min"].as_uint(t.pack_nt_min);
-  t.coll_hier_nodes = static_cast<std::uint32_t>(
-      (*doc)["coll_hier_nodes"].as_uint(t.coll_hier_nodes));
   // A hand-edited or truncated cache must degrade to the formulas, not trip
   // always-compiled asserts in every program on the machine (the coll
   // geometry feeds coll::WorldColl::create directly).
-  if (!coll_slot_in_range(t.coll_slot_bytes) || t.barrier_tree_ranks < 2 ||
-      t.barrier_tree_k < 2 || t.barrier_tree_k > 64 ||
-      t.coll_hier_nodes < 2) {
+  if (!coll_slot_in_range(t.coll_slot_bytes)) {
     if (err != nullptr) *err = "out-of-range tuning values";
     return std::nullopt;
   }

@@ -100,17 +100,6 @@ struct TuningTable {
   /// with_env_overrides clamps it to shm::Fastbox::kMaxPayload.
   std::size_t fastbox_max = 2 * KiB - 64;
 
-  /// World size at/above which the arena barrier combines arrivals up a
-  /// k-ary tree instead of rank 0 gathering all n-1 flags (flat stays
-  /// cheaper below ~8 ranks: the tree adds a level of store-then-poll
-  /// latency that only pays off once the root's linear gather dominates).
-  /// NEMO_BARRIER_TREE overrides (`off` = never, `on` = always, or a
-  /// threshold).
-  std::uint32_t barrier_tree_ranks = 8;
-  /// Tree fan-in. formula_defaults derives it from the topology (one
-  /// parent gathers an LLC-sharing domain); clamped to [2, 64] on load.
-  std::uint32_t barrier_tree_k = 4;
-
   /// Reduction kernel the collective folds run with. kAuto defers to CPUID
   /// (best supported, AVX-512 -> AVX2 -> scalar) when the World resolves
   /// it; the calibrate simd probe records a concrete winner. NEMO_SIMD
@@ -121,13 +110,6 @@ struct TuningTable {
   /// same way big contiguous copies do). 0 = formula: the same half-LLC
   /// bound as nt_min. SIZE_MAX (NEMO_PACK_NT_MIN=off) = never.
   std::size_t pack_nt_min = 0;
-
-  /// Hierarchical two-level collectives (schema 6): minimum synthetic-node
-  /// count (transport topology) at/above which auto-mode collectives run
-  /// the leader-based two-level schedule instead of the flat world-wide
-  /// algorithm. UINT32_MAX = never; 2 = whenever the transport partitions
-  /// the world at all. NEMO_COLL_HIER overrides (`off` | `on` | threshold).
-  std::uint32_t coll_hier_nodes = 2;
 
   [[nodiscard]] const PlacementTuning& for_placement(PairPlacement p) const {
     return place[static_cast<std::size_t>(p)];
@@ -165,21 +147,10 @@ TuningTable formula_defaults(const Topology& topo);
 
 /// Apply env-knob overrides (NEMO_NT_MIN, NEMO_LMT_ACTIVATION,
 /// NEMO_FASTBOX_MAX, NEMO_DMA_MIN, NEMO_BACKEND, NEMO_COLL_ACTIVATION,
-/// NEMO_COLL_SLOT_BYTES, NEMO_BARRIER_TREE, NEMO_COLL_HIER, NEMO_SIMD,
-/// NEMO_PACK_NT_MIN) on top of `t` — the "env beats cache beats formula"
-/// precedence every entry point shares — then clamp fastbox_max to what a
-/// slot can hold. See docs/TUNING.md for the authoritative knob table.
+/// NEMO_COLL_SLOT_BYTES, NEMO_SIMD, NEMO_PACK_NT_MIN) on top of `t` — the
+/// "env beats cache beats formula" precedence every entry point shares —
+/// then clamp fastbox_max to what a slot can hold. See docs/TUNING.md for the authoritative knob table.
 TuningTable with_env_overrides(TuningTable t);
-
-/// Parse NEMO_BARRIER_TREE into a barrier_tree_ranks threshold: `off`/`0`
-/// = never (UINT32_MAX), `on`/`1` = always (2), else a world-size
-/// threshold >= 2. nullopt when unset; throws on anything else.
-std::optional<std::uint32_t> barrier_tree_ranks_from_env();
-
-/// Parse NEMO_COLL_HIER into a coll_hier_nodes threshold with the same
-/// vocabulary: `off`/`0` = never (UINT32_MAX), `on`/`1` = always (2), else
-/// a node-count threshold >= 2. nullopt when unset; throws on anything else.
-std::optional<std::uint32_t> coll_hier_nodes_from_env();
 
 // --- Serialization ---------------------------------------------------------
 

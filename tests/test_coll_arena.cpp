@@ -123,9 +123,6 @@ TEST_F(CollArena, FlatBarrierWords) {
   cw.barrier_arrive(2, 1);
   EXPECT_TRUE(cw.barrier_arrived(2, 1));
   EXPECT_FALSE(cw.barrier_arrived(2, 2));
-  EXPECT_FALSE(cw.barrier_released(1));
-  cw.barrier_release(1);
-  EXPECT_TRUE(cw.barrier_released(1));
   // Monotonic sequences: a later arrival satisfies earlier waits.
   cw.barrier_arrive(2, 7);
   EXPECT_TRUE(cw.barrier_arrived(2, 3));

@@ -300,7 +300,8 @@ TEST_P(CollLineStress, ParityWithAlltoallvProbesAndStraggler) {
   cfg.tuning = tune::formula_defaults(detect_host());
   SharedMap sm(kCacheLine);
   ASSERT_TRUE(sm.ok());
-  // Words: [0..1] wrong results (first iteration), [2..3] wrong path.
+  // Words: [0..1] wrong results (first iteration), [2..3] wrong path,
+  // [4..5] epoch stalls.
   bool ok = run(cfg, [&](Comm& comm) {
     const int n = comm.size(), me = comm.rank();
     const auto nsz = static_cast<std::size_t>(n);
@@ -362,11 +363,17 @@ TEST_P(CollLineStress, ParityWithAlltoallvProbesAndStraggler) {
     }
     if (c.coll_line_ops - line0 != lines || c.coll_p2p_ops - p2p0 != probes)
       sm.fail(2, 0);
+    // Line cells and count probes are not slot epochs: their waits must
+    // not feed coll.epoch_stalls_per_op.
+    if (c.coll_epoch_stalls != 0) sm.fail(4, c.coll_epoch_stalls);
   });
   ASSERT_TRUE(ok);
   EXPECT_EQ(sm.word(0), 0u) << "first bad iteration: "
                             << static_cast<std::int64_t>(sm.word(1)) - 1;
   EXPECT_EQ(sm.word(2), 0u) << "reductions or probes took the wrong path";
+  EXPECT_EQ(sm.word(4), 0u) << "line/probe waits counted as epoch stalls ("
+                            << static_cast<std::int64_t>(sm.word(5)) - 1
+                            << " on the first rank to report)";
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, CollLineStress,
@@ -384,19 +391,15 @@ class FlatBarrierAllPoll : public ::testing::TestWithParam<ModeParam> {};
 
 TEST_P(FlatBarrierAllPoll, NoRankLeavesEarly) {
   coll::ScopedForcedMode forced(coll::Mode::kShm);
-  ScopedEnv sched("NEMO_BARRIER_TREE", "off");
   constexpr int kRounds = 200;
   Config cfg;
   cfg.nranks = GetParam().nranks;
   cfg.mode = GetParam().mode;
   cfg.coll = coll::Mode::kShm;
-  tune::TuningTable t = tune::formula_defaults(detect_host());
-  t.barrier_tree_ranks = UINT32_MAX;
-  cfg.tuning = t;
   SharedMap sm(kCacheLine);
   ASSERT_TRUE(sm.ok());
   // Words: [0..1] early exits (first round), [2..3] wrong schedule, [4]
-  // the phase counter.
+  // the phase counter, [5..6] epoch stalls.
   bool ok = run(cfg, [&](Comm& comm) {
     const int n = comm.size(), me = comm.rank();
     std::atomic_ref<std::uint64_t> ctr(sm.word(4));
@@ -415,11 +418,16 @@ TEST_P(FlatBarrierAllPoll, NoRankLeavesEarly) {
     const tune::Counters& c = comm.engine().counters();
     if (c.coll_barrier_flat != 2u * kRounds || c.coll_barrier_tree != 0)
       sm.fail(2, 0);
+    // Barrier arrivals are not slot epochs.
+    if (c.coll_epoch_stalls != 0) sm.fail(5, c.coll_epoch_stalls);
   });
   ASSERT_TRUE(ok);
   EXPECT_EQ(sm.word(0), 0u) << "first early exit in round "
                             << static_cast<std::int64_t>(sm.word(1)) - 1;
   EXPECT_EQ(sm.word(2), 0u) << "the flat schedule did not run";
+  EXPECT_EQ(sm.word(5), 0u) << "barrier waits counted as epoch stalls ("
+                            << static_cast<std::int64_t>(sm.word(6)) - 1
+                            << " on the first rank to report)";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,6 @@
 // Unit tests for the common substrate: byte units, size parsing, checksums,
-// pattern fill/verify, iovec math, statistics, and the knob registry against
-// its documented table.
+// pattern fill/verify, iovec math, statistics, the knob registry against
+// its documented table, and World setup's rejection of unknown knobs.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -12,6 +12,7 @@
 #include "common/iovec.hpp"
 #include "common/options.hpp"
 #include "common/timing.hpp"
+#include "core/comm.hpp"
 
 namespace nemo {
 namespace {
@@ -228,6 +229,30 @@ TEST(Options, KnobRegistryMatchesTuningDoc) {
     if (def.rfind("tuned", 0) == 0) continue;  // Calibrated per machine.
     EXPECT_EQ(def, it->second) << name << " default";
   }
+}
+
+// A retired or misspelt knob must fail World setup loudly: silently
+// ignored, a forced-path run would measure the default path instead.
+TEST(Options, WorldRejectsUnknownKnob) {
+  core::Config cfg;
+  cfg.nranks = 2;
+  {
+    ScopedEnv retired("NEMO_BARRIER_TREE", "on");
+    try {
+      core::World w(cfg);
+      ADD_FAILURE() << "World accepted NEMO_BARRIER_TREE";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("NEMO_BARRIER_TREE"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    ScopedEnv typo("NEMO_COL", "p2p");
+    EXPECT_THROW(core::World w(cfg), std::invalid_argument);
+  }
+  ScopedEnv registered("NEMO_FASTBOX", "1");
+  EXPECT_NO_THROW(core::World w(cfg));
 }
 
 }  // namespace

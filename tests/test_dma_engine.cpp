@@ -23,14 +23,12 @@ TEST(DmaEngine, CopyWithTrailingStatus) {
   DmaEngine eng;
   std::vector<std::byte> src(256 * KiB), dst(256 * KiB);
   pattern_fill(src, 1);
-  volatile std::uint8_t status =
-      static_cast<std::uint8_t>(DmaStatus::kPending);
+  std::uint8_t status = static_cast<std::uint8_t>(DmaStatus::kPending);
   eng.submit_copy_with_status(self_port(), rseg(src.data(), src.size()),
                               {{dst.data(), dst.size()}}, &status);
-  while (status == static_cast<std::uint8_t>(DmaStatus::kPending)) {
+  while (load_status(status) == DmaStatus::kPending) {
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
-  EXPECT_EQ(status, static_cast<std::uint8_t>(DmaStatus::kSuccess));
+  EXPECT_EQ(load_status(status), DmaStatus::kSuccess);
   EXPECT_EQ(pattern_check(dst, 1), kPatternOk);
 }
 
@@ -115,10 +113,10 @@ TEST(DmaEngine, PinnedWorkerStillFunctions) {
   DmaEngine eng(cfg);
   std::vector<std::byte> src(128 * KiB), dst(128 * KiB);
   pattern_fill(src, 5);
-  volatile std::uint8_t status = 0;
+  std::uint8_t status = 0;
   eng.submit_copy_with_status(self_port(), rseg(src.data(), src.size()),
                               {{dst.data(), dst.size()}}, &status);
-  while (status == 0) {
+  while (load_status(status) == DmaStatus::kPending) {
   }
   EXPECT_EQ(pattern_check(dst, 5), kPatternOk);
   EXPECT_EQ(eng.stats().status_writes, 1u);

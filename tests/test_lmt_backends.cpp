@@ -13,6 +13,7 @@
 #include "common/checksum.hpp"
 #include "core/comm.hpp"
 #include "lmt/backends.hpp"
+#include "shm/remote_mem.hpp"
 
 namespace nemo::core {
 namespace {
@@ -441,6 +442,54 @@ INSTANTIATE_TEST_SUITE_P(SingleCopy, CoopCopy,
                          [](const auto& info) {
                            return std::string(lmt::to_string(info.param));
                          });
+
+// Under NEMO_CMA=nosyscall every CMA transfer stages through the arena,
+// which can never free. More staged 1 MiB transfers than the whole arena
+// could hold must all complete, and after the first one the arena must stop
+// shrinking: each cookie slot reuses its stage buffer.
+TEST(LmtProtocol, CmaStageBuffersAreReused) {
+  if (!shm::cma_available()) GTEST_SKIP() << "no cross-memory attach here";
+  // Env beats Config: pin both knobs so an ambient NEMO_LMT or NEMO_CMA
+  // cannot move the transfers off the staged CMA path.
+  ScopedEnv lmt("NEMO_LMT", "cma");
+  ScopedEnv cma("NEMO_CMA", "nosyscall");
+  bool ok = run(cfg_with(lmt::LmtKind::kCma), [&](Comm& comm) {
+    constexpr std::size_t kN = 1 * MiB;
+    const shm::Arena& arena = comm.world().arena();
+    const int transfers = static_cast<int>(arena.size() / kN) + 4;
+    const std::uint64_t staged0 =
+        comm.engine().knem_device().stats().cma_stage_fallbacks;
+    std::vector<std::byte> buf(kN);
+    std::size_t free_after_first = 0;
+    for (int i = 0; i < transfers; ++i) {
+      if (comm.rank() == 0) {
+        pattern_fill(buf, static_cast<std::uint64_t>(i));
+        comm.send(buf.data(), kN, 1, i);
+      } else {
+        comm.recv(buf.data(), kN, 0, i);
+        require(comm,
+                pattern_check(buf, static_cast<std::uint64_t>(i)) ==
+                    kPatternOk,
+                "payload mismatch in transfer " + std::to_string(i));
+      }
+      if (i == 0) {
+        comm.barrier();
+        free_after_first = arena.remaining();
+      }
+    }
+    comm.barrier();
+    require(comm, arena.remaining() == free_after_first,
+            "arena shrank after the first staged transfer: " +
+                std::to_string(free_after_first) + " -> " +
+                std::to_string(arena.remaining()) + " bytes free");
+    const std::uint64_t staged =
+        comm.engine().knem_device().stats().cma_stage_fallbacks - staged0;
+    require(comm, staged == static_cast<std::uint64_t>(transfers),
+            "staged " + std::to_string(staged) + " of " +
+                std::to_string(transfers) + " transfers");
+  });
+  EXPECT_TRUE(ok);
+}
 
 }  // namespace
 }  // namespace nemo::core

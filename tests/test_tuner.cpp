@@ -130,30 +130,20 @@ TEST(TuningTable, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(r->fastbox_max, 4 * KiB - 64);
 }
 
-TEST(TuningTable, CollAndBarrierFieldsRoundTrip) {
+TEST(TuningTable, CollFieldsRoundTrip) {
   TuningTable t = formula_defaults(xeon_e5345());
   t.coll_activation = 48 * KiB;
   t.coll_slot_bytes = 128 * KiB;
-  t.barrier_tree_ranks = 12;
-  t.barrier_tree_k = 3;
-  t.coll_hier_nodes = 7;
   std::string body = to_json(t);
-  EXPECT_NE(body.find("nemo-tune/7"), std::string::npos);
+  EXPECT_NE(body.find("nemo-tune/8"), std::string::npos);
   auto r = from_json(body);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->coll_activation, 48 * KiB);
   EXPECT_EQ(r->coll_slot_bytes, 128 * KiB);
-  EXPECT_EQ(r->barrier_tree_ranks, 12u);
-  EXPECT_EQ(r->barrier_tree_k, 3u);
-  EXPECT_EQ(r->coll_hier_nodes, 7u);
   // Out-of-range coll geometry degrades to "invalid" like the fastbox
   // fields (it feeds coll::WorldColl::create directly).
   TuningTable bad = t;
   bad.coll_slot_bytes = 100;  // Not a cacheline multiple.
-  EXPECT_FALSE(from_json(to_json(bad)).has_value());
-  // Same for a degenerate tree fan-in (the barrier schedule divides by it).
-  bad = t;
-  bad.barrier_tree_k = 1;
   EXPECT_FALSE(from_json(to_json(bad)).has_value());
 }
 
@@ -179,9 +169,9 @@ TEST(TuningTable, Schema3CachesStillLoadWithSimdDefaults) {
   TuningTable t = formula_defaults(xeon_e5345());
   t.coll_activation = 96 * KiB;
   std::string body = to_json(t);
-  auto at = body.find("nemo-tune/7");
+  auto at = body.find("nemo-tune/8");
   ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::strlen("nemo-tune/7"), "nemo-tune/3");
+  body.replace(at, std::strlen("nemo-tune/8"), "nemo-tune/3");
   auto strip = [&body](const std::string& key) {
     auto p = body.find("\"" + key + "\"");
     ASSERT_NE(p, std::string::npos);
@@ -200,32 +190,32 @@ TEST(TuningTable, Schema3CachesStillLoadWithSimdDefaults) {
   EXPECT_EQ(r->pack_nt_min, 0u);
 }
 
-TEST(TuningTable, Schema2CachesStillLoadWithBarrierDefaults) {
-  // A schema-2 cache (pre barrier_tree_*) must load gracefully: its fields
-  // apply and the barrier fields keep their defaults.
+TEST(TuningTable, Schema7CacheWithTreeAndHierRowsLoads) {
+  // A schema-7 writer also emitted the barrier_tree_* and coll_hier_nodes
+  // rows. They are ignored on load, every other field applies, and the
+  // re-serialised table drops them.
   TuningTable t = formula_defaults(xeon_e5345());
   t.coll_activation = 96 * KiB;
+  t.simd_kernel = simd::Choice::kScalar;
   std::string body = to_json(t);
-  auto at = body.find("nemo-tune/7");
+  auto at = body.find("nemo-tune/8");
   ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::strlen("nemo-tune/7"), "nemo-tune/2");
-  auto strip = [&body](const std::string& key) {
-    auto p = body.find("\"" + key + "\"");
-    ASSERT_NE(p, std::string::npos);
-    auto c = body.rfind(',', p);
-    ASSERT_NE(c, std::string::npos);
-    auto q = body.find_first_of(",}", p);
-    ASSERT_NE(q, std::string::npos);
-    body.erase(c, q - c);
-  };
-  strip("barrier_tree_ranks");
-  strip("barrier_tree_k");
-  auto r = from_json(body);
-  ASSERT_TRUE(r.has_value());
+  body.replace(at, std::strlen("nemo-tune/8"), "nemo-tune/7");
+  auto end = body.rfind('}');
+  ASSERT_NE(end, std::string::npos);
+  body.insert(end, R"(, "barrier_tree_ranks": 8, "barrier_tree_k": 4,)"
+                   R"( "coll_hier_nodes": 2)");
+  std::string err;
+  auto r = from_json(body, &err);
+  ASSERT_TRUE(r.has_value()) << err;
   EXPECT_EQ(r->coll_activation, 96 * KiB);
-  TuningTable fresh;
-  EXPECT_EQ(r->barrier_tree_ranks, fresh.barrier_tree_ranks);
-  EXPECT_EQ(r->barrier_tree_k, fresh.barrier_tree_k);
+  EXPECT_EQ(r->simd_kernel, simd::Choice::kScalar);
+  EXPECT_EQ(r->fingerprint, t.fingerprint);
+  std::string out = to_json(*r);
+  for (const char* key :
+       {"barrier_tree_ranks", "barrier_tree_k", "coll_hier_nodes"})
+    EXPECT_EQ(out.find(std::string("\"") + key + "\""), std::string::npos)
+        << key;
 }
 
 TEST(TuningTable, Schema1CachesStillLoadWithCollDefaults) {
@@ -235,9 +225,9 @@ TEST(TuningTable, Schema1CachesStillLoadWithCollDefaults) {
   TuningTable t = formula_defaults(xeon_e5345());
   t.fastbox_max = 3 * KiB;
   std::string body = to_json(t);
-  auto at = body.find("nemo-tune/7");
+  auto at = body.find("nemo-tune/8");
   ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::strlen("nemo-tune/7"), "nemo-tune/1");
+  body.replace(at, std::strlen("nemo-tune/8"), "nemo-tune/1");
   // Strip the coll keys as an old writer would never have emitted them
   // (erasing from the preceding comma keeps the JSON well-formed even for
   // the object's last member).
@@ -312,15 +302,12 @@ TEST(TuningTable, Schema6CacheWithRetiredFieldsLoadsKeptFields) {
   EXPECT_EQ(r->fastbox_max, 4 * KiB - 64);
   EXPECT_EQ(r->coll_activation, 64 * KiB);
   EXPECT_EQ(r->coll_slot_bytes, 128 * KiB);
-  EXPECT_EQ(r->barrier_tree_ranks, 4u);
-  EXPECT_EQ(r->barrier_tree_k, 3u);
   EXPECT_EQ(r->simd_kernel, simd::Choice::kScalar);
   EXPECT_EQ(r->pack_nt_min, 1 * MiB);
-  EXPECT_EQ(r->coll_hier_nodes, 3u);
 
-  // Re-serialised, the table is schema 7 and the retired keys are gone.
+  // Re-serialised, the table is schema 8 and the retired keys are gone.
   std::string out = to_json(*r);
-  EXPECT_NE(out.find("\"nemo-tune/7\""), std::string::npos);
+  EXPECT_NE(out.find("\"nemo-tune/8\""), std::string::npos);
   for (const char* key : {"ring_bufs", "ring_buf_bytes", "fastbox_slots",
                           "fastbox_slot_bytes", "drain_budget", "poll_hot"})
     EXPECT_EQ(out.find(std::string("\"") + key + "\""), std::string::npos)
@@ -336,37 +323,6 @@ TEST(TuningTable, Schema6CacheWithRetiredFieldsLoadsKeptFields) {
   future.replace(future.find("nemo-tune/6"), std::strlen("nemo-tune/6"),
                  "nemo-tune/12");
   EXPECT_TRUE(from_json(future).has_value());
-}
-
-TEST(TuningTable, BarrierTreeEnvKnob) {
-  TuningTable base = formula_defaults(xeon_e5345());
-  // e5345: pairs of cores share each L2, so the formula fan-in is 2.
-  EXPECT_EQ(base.barrier_tree_k, 2u);
-  EXPECT_EQ(formula_defaults(nehalem()).barrier_tree_k, 4u);
-  // Private-LLC hosts get the generic fan-in.
-  EXPECT_EQ(formula_defaults(flat_smp(4, 8 * MiB)).barrier_tree_k, 4u);
-
-  {
-    ScopedEnv e("NEMO_BARRIER_TREE", "off");
-    EXPECT_EQ(with_env_overrides(base).barrier_tree_ranks, UINT32_MAX);
-  }
-  {
-    ScopedEnv e("NEMO_BARRIER_TREE", "on");
-    EXPECT_EQ(with_env_overrides(base).barrier_tree_ranks, 2u);
-  }
-  {
-    ScopedEnv e("NEMO_BARRIER_TREE", "16");
-    EXPECT_EQ(with_env_overrides(base).barrier_tree_ranks, 16u);
-  }
-  {
-    // A typo fails loudly instead of silently running the wrong schedule.
-    ScopedEnv e("NEMO_BARRIER_TREE", "treeish");
-    EXPECT_THROW(with_env_overrides(base), std::invalid_argument);
-  }
-  {
-    ScopedEnv e("NEMO_BARRIER_TREE", "1");  // Threshold below 2 = always.
-    EXPECT_EQ(with_env_overrides(base).barrier_tree_ranks, 2u);
-  }
 }
 
 TEST(TuningCache, RoundTripAndFingerprintMismatchInvalidation) {
@@ -395,10 +351,6 @@ TEST(TuningCache, RoundTripAndFingerprintMismatchInvalidation) {
   // formulas.
   TuningTable bad = t;
   bad.coll_slot_bytes = 3000;  // Not a cache-line multiple.
-  ASSERT_TRUE(store_cache(path, bad));
-  EXPECT_FALSE(load_cache(path, t.fingerprint).has_value());
-  bad = t;
-  bad.barrier_tree_k = 1;
   ASSERT_TRUE(store_cache(path, bad));
   EXPECT_FALSE(load_cache(path, t.fingerprint).has_value());
 
@@ -534,9 +486,9 @@ TEST(TuningTable, CmaRowRoundTripsInSchema5) {
   EXPECT_EQ(r->for_placement(PairPlacement::kDifferentSockets).backend,
             Backend::kCma);
   // A schema-4 cache without the row keeps the defaults.
-  auto at = body.find("nemo-tune/7");
+  auto at = body.find("nemo-tune/8");
   ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::strlen("nemo-tune/7"), "nemo-tune/4");
+  body.replace(at, std::strlen("nemo-tune/8"), "nemo-tune/4");
   auto open = body.find("\"lmt_cma\"");
   ASSERT_NE(open, std::string::npos);
   auto close = body.find('}', open);
