@@ -15,7 +15,9 @@
 //   nranks x slot:
 //     SlotHeader                   epoch / doorbell / direct-read offsets
 //     table[2 * nranks] u64        per-dest (offset, len) for alltoallv;
-//                                  per-owner lane/read counts for reduce
+//                                  per-owner lane/read counts for reduce;
+//                                  the self entry holds the helped
+//                                  bcast's claim cursor and landed count
 //     payload[slot_bytes]          staged operand bytes
 //
 // Synchronisation protocol (the algorithms live in core/collectives.cpp):
@@ -81,7 +83,8 @@ struct SlotHeader {
   std::uint64_t chunks;   ///< Doorbell: payload chunks published this epoch.
   std::uint64_t src_off;  ///< Direct-read arena offset; kNil = staged.
   std::uint64_t bytes;    ///< Op-specific meta (bytes, rounds, ...).
-  std::uint64_t dst_off;  ///< Reduce: arena offset of a direct result.
+  std::uint64_t dst_off;  ///< Arena offset of a direct result (reduce)
+                          ///< or destination (helped bcast).
 };
 static_assert(sizeof(SlotHeader) == kCacheLine);
 
@@ -250,6 +253,53 @@ class WorldColl {
   }
   [[nodiscard]] std::uint64_t block_acked(int r, int o) const {
     return shm::aref(table(r)[nranks() + o]).load(std::memory_order_acquire);
+  }
+
+  // --- Helped direct bcast: claim cursor and landed count ------------------
+  // A reader whose destination is arena-resident lets any rank copy parts of
+  // its bcast. Two words of its own slot table hold the state: an
+  // epoch-tagged claim cursor ack_value(e, next unclaimed chunk) and the
+  // number of chunks that have landed in its destination. They sit at the
+  // reader's self entry (2r, 2r + 1), which alltoallv never writes; a reduce
+  // only stores chunk counts below 2^24 there, and no tagged cursor is that
+  // small (e >= 8). So a claim is a CAS against the tagged value: a helper
+  // holding a stale load from a finished epoch can never take a chunk of a
+  // later one. A successful claim also pins the reader in epoch `e` until
+  // the chunk lands, so the dst_off read after it is this epoch's.
+
+  /// Open rank r's copy of bcast epoch `e` to helpers: destination first,
+  /// landed reset, then the cursor RELEASE-stored last.
+  void open_bcast(int r, std::uint64_t e, std::uint64_t dst_off) const {
+    std::uint64_t* t = table(r) + 2 * r;
+    header(r)->dst_off = dst_off;
+    shm::aref(t[1]).store(0, std::memory_order_relaxed);
+    shm::aref(t[0]).store(ack_value(e, 0), std::memory_order_release);
+  }
+  /// Is rank r's copy of epoch `e` open? (Its cursor carries e's tag.)
+  [[nodiscard]] bool bcast_open(int r, std::uint64_t e) const {
+    return shm::aref(table(r)[2 * r]).load(std::memory_order_acquire) >> 24 ==
+           e;
+  }
+  /// Claim the next chunk of rank r's copy of epoch `e`: false when its
+  /// cursor is in another epoch or past `nchunks`.
+  bool claim_chunk(int r, std::uint64_t e, std::uint64_t nchunks,
+                   std::uint64_t& idx) const {
+    auto cur = shm::aref(table(r)[2 * r]);
+    std::uint64_t v = cur.load(std::memory_order_acquire);
+    for (;;) {
+      idx = v & ((1ull << 24) - 1);
+      if (v >> 24 != e || idx >= nchunks) return false;
+      if (cur.compare_exchange_weak(v, v + 1, std::memory_order_acq_rel,
+                                    std::memory_order_acquire))
+        return true;
+    }
+  }
+  /// A claimed chunk's bytes are in rank r's destination (RELEASE).
+  void land_chunk(int r) const {
+    shm::aref(table(r)[2 * r + 1]).fetch_add(1, std::memory_order_release);
+  }
+  [[nodiscard]] std::uint64_t landed(int r) const {
+    return shm::aref(table(r)[2 * r + 1]).load(std::memory_order_acquire);
   }
 
   // --- Epoch-tagged acks ---------------------------------------------------

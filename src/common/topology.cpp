@@ -48,10 +48,6 @@ const CacheDomain& Topology::largest_cache(int core) const {
   return *best;
 }
 
-unsigned Topology::cores_sharing_largest_cache(int core) const {
-  return static_cast<unsigned>(largest_cache(core).cores.size());
-}
-
 PairPlacement Topology::classify(int a, int b) const {
   if (shared_cache(a, b)) return PairPlacement::kSharedCache;
   if (socket_of[static_cast<std::size_t>(a)] ==

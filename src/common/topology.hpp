@@ -71,9 +71,6 @@ struct Topology {
   /// The largest (outermost) cache `core` sits behind.
   [[nodiscard]] const CacheDomain& largest_cache(int core) const;
 
-  /// Number of cores sharing the largest cache of `core`.
-  [[nodiscard]] unsigned cores_sharing_largest_cache(int core) const;
-
   /// Classify a core pair into the paper's three placements.
   [[nodiscard]] PairPlacement classify(int a, int b) const;
 

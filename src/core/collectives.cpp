@@ -322,12 +322,58 @@ void Comm::bcast_shm(void* buf, std::size_t bytes, int root,
           .for_placement(PairPlacement::kDifferentSockets)
           .nt_min;
   SubGeom g = sub_geometry(cw.slot_bytes());
+  // Helped direct path (root buffer arena-resident, at least kCoopMin):
+  // any rank may claim kCoopChunk ranges of a reader's copy (coll_arena.hpp)
+  // and land them from the root's buffer `src` (a reader repoints it once
+  // it has read the root's header) straight into that reader's arena
+  // destination. help(j) drains j's cursor; true when it landed a chunk.
+  // Out of line: a call copies up to a whole message, and inlined into
+  // both waits' first probe and spin loop it doubled bcast_shm's code.
+  const bool helped = bytes >= knem::kCoopMin;
+  const std::uint64_t ncoop = div_ceil(bytes, knem::kCoopChunk);
+  const std::byte* src = static_cast<const std::byte*>(buf);
+  auto help = [&](int j) __attribute__((noinline)) {
+    bool any = false;
+    std::uint64_t idx;
+    while (cw.claim_chunk(j, epoch, ncoop, idx)) {
+      const std::size_t off = static_cast<std::size_t>(idx) * knem::kCoopChunk;
+      const std::size_t len =
+          std::min<std::size_t>(knem::kCoopChunk, bytes - off);
+      if (j != r) {
+        resil::fault_point(resil::Site::kCollBcastHelp, r);
+        eng.counters().coll_bcast_help_bytes += len;
+      }
+      // The claim pins j in this epoch, so dst_off is this epoch's.
+      shm::copy_for(bytes >= nt_min, arena.at(cw.header(j)->dst_off) + off,
+                    src + off, len);
+      cw.land_chunk(j);
+      any = true;
+    }
+    return any;
+  };
 
   if (r == root) {
     if (bytes > 0 && arena.contains(buf, bytes)) {
       // Direct: publish the source offset, every reader pulls straight from
-      // the user buffer — zero staging copies.
+      // the user buffer — zero staging copies. From kCoopMin the root, idle
+      // until the acks, lands chunks of every open reader's copy and waits
+      // for late readers to open (or to ack: a private destination never
+      // opens).
       cw.begin_epoch(r, epoch, arena.offset_of(buf), bytes);
+      if (helped) {
+        eng.counters().coll_bcast_helped_ops++;
+        spin_until_quiet(eng, resil::Site::kCollAck, -1, [&] {
+          bool done = true;
+          for (int i = 0; i < n; ++i) {
+            if (i == r || eng.rank_fenced(i)) continue;
+            if (cw.bcast_open(i, epoch))
+              help(i);  // Drains i's cursor: nothing left to claim there.
+            else
+              done = done && cw.acked(i, epoch, 1);
+          }
+          return done;
+        });
+      }
       for (int i = 0; i < n; ++i)
         if (i != r && !eng.rank_fenced(i))
           spin_until(eng, resil::Site::kCollAck, i,
@@ -339,7 +385,6 @@ void Comm::bcast_shm(void* buf, std::size_t bytes, int root,
     // gate sub-buffer reuse for messages larger than the slot.
     std::uint64_t nchunks = div_ceil(bytes, g.sub);
     cw.begin_epoch(r, epoch, shm::kNil, bytes);
-    const std::byte* src = static_cast<const std::byte*>(buf);
     bool nt = bytes >= nt_min;
     for (std::uint64_t i = 0; i < nchunks; ++i) {
       if (i >= g.nsub) {
@@ -370,7 +415,31 @@ void Comm::bcast_shm(void* buf, std::size_t bytes, int root,
   std::uint64_t src_off = h->src_off;
   std::size_t total = h->bytes;
   if (src_off != shm::kNil) {
-    shm::copy_for(total >= nt_min, dst, arena.at(src_off), total);
+    // Helped, an arena destination opens to every rank and takes its own
+    // chunks first; a private one is copied alone, as without help. Then
+    // help the peers already open (the claim itself checks their epoch;
+    // never wait for a later one) until nothing is left to claim, and ack
+    // once every chunk of ours has landed.
+    src = arena.at(src_off);
+    const bool open = helped && arena.contains(dst, total);
+    if (open) {
+      cw.open_bcast(r, epoch, arena.offset_of(dst));
+    } else {
+      shm::copy_for(total >= nt_min, dst, src, total);
+    }
+    if (helped) {
+      eng.counters().coll_bcast_helped_ops++;
+      spin_until_quiet(eng, resil::Site::kCollDoorbell, -1, [&] {
+        // k = 0 is our own cursor; unopened, it never carries this epoch.
+        bool claimed = false;
+        for (int k = 0; k < n; ++k) {
+          const int j = (r + k) % n;
+          if (j != root && !eng.rank_fenced(j))
+            claimed = help(j) || claimed;
+        }
+        return !claimed && (!open || cw.landed(r) == ncoop);
+      });
+    }
     cw.set_ack(r, epoch, 1);
     return;
   }
@@ -702,6 +771,7 @@ void Comm::alltoallv_shm(const void* sendbuf, const std::size_t* scounts,
   if (direct) {
     std::uint64_t base = arena.offset_of(in);
     for (int d = 0; d < n; ++d) {
+      if (d == r) continue;  // Self entry: the helped bcast's cursor.
       tab[2 * d] = base + sdispls[d];
       tab[2 * d + 1] = scounts[d];
     }

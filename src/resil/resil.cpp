@@ -21,6 +21,7 @@ const char* site_name(Site s) {
     case Site::kFastboxPut: return "fastbox_put";
     case Site::kLmtCoop: return "lmt_coop";
     case Site::kCollLine: return "coll_line";
+    case Site::kCollBcastHelp: return "coll_bcast_help";
     case Site::kCollDoorbell: return "coll_doorbell";
     case Site::kCollAck: return "coll_ack";
     case Site::kCollProbe: return "coll_probe";
@@ -38,7 +39,7 @@ const char* site_name(Site s) {
 std::optional<Site> crash_site_from_string(const std::string& s) {
   for (auto site : {Site::kCollDeposit, Site::kCollFold, Site::kBarrierArrive,
                     Site::kCmaRendezvous, Site::kFastboxPut,
-                    Site::kLmtCoop, Site::kCollLine}) {
+                    Site::kLmtCoop, Site::kCollLine, Site::kCollBcastHelp}) {
     if (s == site_name(site)) return site;
   }
   return std::nullopt;
@@ -244,7 +245,8 @@ FaultSpec parse_fault_spec(const std::string& spec) {
   auto resolved = crash_site_from_string(site);
   if (!resolved)
     bad("unknown crash site (coll_deposit, coll_fold, barrier_arrive, "
-        "cma_rendezvous, fastbox_put, lmt_coop)");
+        "cma_rendezvous, fastbox_put, lmt_coop, coll_line, "
+        "coll_bcast_help)");
   out.site = *resolved;
   if (spec.substr(c2 + 1) != "kill") bad("unknown op (only: kill)");
   return out;

@@ -51,6 +51,8 @@ enum class Site : std::uint8_t {
   kFastboxPut,        ///< sender about to write an eager fastbox slot
   kLmtCoop,           ///< sender about to copy a claimed co-copy chunk
   kCollLine,          ///< rank about to publish a small-reduce line cell
+  kCollBcastHelp,     ///< bcast helper about to copy a claimed chunk of
+                      ///< another rank's copy
   // Wait sites (where a bounded wait can observe the death).
   kCollDoorbell,      ///< waiting for a slot header / chunk doorbell
   kCollAck,           ///< waiting for a consumer ack

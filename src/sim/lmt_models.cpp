@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "knem/knem_device.hpp"
+
 namespace nemo::sim {
 
 namespace {
@@ -431,7 +433,6 @@ LmtModels::CollOutcome LmtModels::bcast_coll(bool shm,
   reset();
   std::vector<std::uint64_t> buf;
   for (int i = 0; i < n; ++i) buf.push_back(alloc_.alloc(bytes));
-  std::uint64_t slot = alloc_.alloc(bytes);  // Arena staging region.
 
   CollOutcome out;
   double round_ns = 0;
@@ -463,23 +464,34 @@ LmtModels::CollOutcome LmtModels::bcast_coll(bool shm,
       }
       return;
     }
-    // Arena path: the root streams once into the slotted arena (NT past the
-    // tuned threshold), then every reader pulls concurrently. The doorbell
-    // pipelining is approximated by overlapping nothing — conservative.
-    Cost w = mem_.copy(cores[0], slot, buf[0], bytes,
-                       bytes >= opt_.nt_min);
-    double root_ns = w.total();
-    if (count_copies) out.copy_bytes += bytes;
-    double contention =
-        1.0 + opt_.contention_per_flow * (static_cast<double>(n - 1) - 1.0);
-    double read_ns = 0;
-    for (int i = 1; i < n; ++i) {
-      Cost c = mem_.copy(cores[static_cast<std::size_t>(i)],
-                         buf[static_cast<std::size_t>(i)], slot, bytes);
-      read_ns = std::max(read_ns, c.cache_ns + c.mem_ns * contention);
-      if (count_copies) out.copy_bytes += bytes;
+    // Direct arena path (every buffer arena-resident, as an MPI_Alloc_mem
+    // user has them): (n-1)·bytes are read from the root's buffer. Below
+    // kCoopMin each reader pulls its whole copy while the root idles; from
+    // kCoopMin (the helped bcast) every reader's copy is split into n
+    // slices and core i lands slice i of each, root included. The copiers
+    // stream concurrently (contended); the round is the slowest one's share.
+    const bool helped = bytes >= knem::kCoopMin;
+    const double contention =
+        1.0 + opt_.contention_per_flow * (helped ? n - 1.0 : n - 2.0);
+    auto land = [&](int core, int d, std::size_t off, std::size_t len) {
+      Cost c = mem_.copy(cores[static_cast<std::size_t>(core)],
+                         buf[static_cast<std::size_t>(d)] + off, buf[0] + off,
+                         len, bytes >= opt_.nt_min);
+      if (count_copies) out.copy_bytes += len;
+      return c.cache_ns + c.mem_ns * contention;
+    };
+    const std::size_t slice = bytes / static_cast<std::size_t>(n);
+    for (int i = 0; i < n; ++i) {
+      double core_ns = 0;
+      if (!helped) {
+        if (i > 0) core_ns = land(i, i, 0, bytes);
+      } else {
+        const std::size_t off = static_cast<std::size_t>(i) * slice;
+        const std::size_t len = i == n - 1 ? bytes - off : slice;
+        for (int d = 1; d < n; ++d) core_ns += land(i, d, off, len);
+      }
+      round_ns = std::max(round_ns, core_ns);
     }
-    round_ns = root_ns + read_ns;
   };
 
   one_round(true);  // Warm-up (and count one round's copy volume).

@@ -93,7 +93,9 @@ class LmtModels {
   /// throughput, bytes memcpy'd, and steady-state L2 misses — the pt2pt
   /// algorithm (binomial bcast / pairwise exchange over the default copy
   /// ring, 2 copies per hop) against the shared-memory collective arena
-  /// (write once, every reader pulls directly).
+  /// (write once, every reader pulls directly). The arena bcast is the
+  /// helped direct path: (n-1)·bytes read from the root's buffer, split
+  /// over the n cores.
   struct CollOutcome {
     double mibs = 0;               ///< Steady-state throughput.
     std::uint64_t copy_bytes = 0;  ///< Bytes memcpy'd per operation.

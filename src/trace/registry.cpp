@@ -235,6 +235,8 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   coll.set("barrier_flat", c.coll_barrier_flat);
   coll.set("barrier_tree", c.coll_barrier_tree);
   coll.set("line_ops", c.coll_line_ops);
+  coll.set("bcast_helped_ops", c.coll_bcast_helped_ops);
+  coll.set("bcast_help_bytes", c.coll_bcast_help_bytes);
   j.set("coll", std::move(coll));
 
   Json resil = Json::object();

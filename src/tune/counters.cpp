@@ -47,6 +47,8 @@ Counters& Counters::operator+=(const Counters& o) {
   pack_staged_bytes += o.pack_staged_bytes;
   pack_nt_ops += o.pack_nt_ops;
   unpack_ops += o.unpack_ops;
+  coll_bcast_helped_ops += o.coll_bcast_helped_ops;
+  coll_bcast_help_bytes += o.coll_bcast_help_bytes;
   return *this;
 }
 

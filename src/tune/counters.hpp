@@ -83,6 +83,13 @@ struct Counters {
   std::uint64_t pack_nt_ops = 0;  ///< Packs that streamed via NT stores.
   std::uint64_t unpack_ops = 0;   ///< Unpacks from shared slots/cells.
 
+  // Helped direct bcast (src/core/collectives.cpp). Last, so the hot
+  // counters above keep their offsets.
+  std::uint64_t coll_bcast_helped_ops = 0;  ///< Helped bcasts this rank
+                                            ///< took part in.
+  std::uint64_t coll_bcast_help_bytes = 0;  ///< Bytes this rank landed in
+                                            ///< another rank's destination.
+
   static int size_class(std::size_t bytes) {
     int c = 0;
     while (bytes > 1 && c < kSizeClasses - 1) {

@@ -260,6 +260,29 @@ TEST_P(FaultMatrix, KillAtCollLine) {
                all_but(n, victim));
 }
 
+TEST_P(FaultMatrix, KillAtCollBcastHelp) {
+  int n = GetParam();
+  int victim = 2;
+  // The victim roots a helped 2 MiB bcast whose readers all have arena
+  // destinations. The readers enter late, so the root is already polling
+  // their cursors when they open: it claims a chunk of some reader's copy
+  // and dies before copying it. That reader's landed count never reaches
+  // the total; the others finish and then wait for the victim's arrival at
+  // the barrier. No survivor may return.
+  Scenario sc{"coll_bcast_help",
+              {Site::kCollDoorbell, Site::kCollAck, Site::kBarrierRelease,
+               Site::kEngineWait}};
+  run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
+               [](Comm& comm, int v) {
+                 constexpr std::size_t kN = 2 * MiB;
+                 std::byte* buf = comm.shared_alloc(kN);
+                 if (comm.rank() != v) ::usleep(100 * 1000);
+                 comm.bcast(buf, kN, v);
+                 comm.barrier();
+               },
+               all_but(n, victim));
+}
+
 INSTANTIATE_TEST_SUITE_P(Worlds, FaultMatrix, ::testing::Values(4, 8));
 
 TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {

@@ -185,10 +185,22 @@ TEST(LmtProtocol, ResolveKindHonoursConfigAndPolicy) {
   });
 }
 
+/// In a forked world a child's gtest failure is invisible to the parent, so
+/// a failed check there also throws: the rank exits nonzero and run() fails.
+void require(Comm& comm, bool ok, const std::string& what) {
+  EXPECT_TRUE(ok) << what;
+  if (!ok && comm.world().config().mode == LaunchMode::kProcesses)
+    throw std::runtime_error("rank " + std::to_string(comm.rank()) + ": " +
+                             what);
+}
+
 TEST(LmtProtocol, EagerThresholdBoundary) {
+  // NEMO_LMT beats cfg.lmt, and auto's own activation would send both
+  // messages by rendezvous: pin the backend the boundary is defined for.
+  ScopedEnv pin("NEMO_LMT", "knem");
   Config cfg = cfg_with(lmt::LmtKind::kKnem);
   cfg.eager_threshold = 64 * KiB;
-  run(cfg, [&](Comm& comm) {
+  bool ok = run(cfg, [&](Comm& comm) {
     // Exactly at the threshold: eager. One past: rendezvous. Both deliver.
     for (std::size_t n : {64 * KiB, 64 * KiB + 1}) {
       std::vector<std::byte> buf(n);
@@ -197,31 +209,28 @@ TEST(LmtProtocol, EagerThresholdBoundary) {
         comm.send(buf.data(), n, 1, 5);
       } else {
         comm.recv(buf.data(), n, 0, 5);
-        EXPECT_EQ(pattern_check(buf, n), kPatternOk);
+        require(comm, pattern_check(buf, n) == kPatternOk,
+                "payload mismatch, n=" + std::to_string(n));
       }
     }
     if (comm.rank() == 0) {
-      EXPECT_EQ(comm.engine().stats().eager_msgs_sent, 1u);
-      EXPECT_EQ(comm.engine().stats().rndv_sent, 1u);
+      const auto& st = comm.engine().stats();
+      require(comm, st.eager_msgs_sent == 1u,
+              "eager_msgs_sent " + std::to_string(st.eager_msgs_sent));
+      require(comm, st.rndv_sent == 1u,
+              "rndv_sent " + std::to_string(st.rndv_sent));
     }
   });
+  EXPECT_TRUE(ok);
 }
 
 // --- Cooperative single-copy rendezvous --------------------------------------
 //
 // Every case compares the landed bytes with the source (memcmp) and checks
-// that the receiver's gaps between destination segments stay untouched. In
-// a forked world a child's gtest failure is invisible to the parent, so a
-// failed check there also throws: the rank exits nonzero and run() fails.
+// that the receiver's gaps between destination segments stay untouched.
+// Failed checks go through require(), so forked ranks fail run() too.
 
 class CoopCopy : public ::testing::TestWithParam<lmt::LmtKind> {};
-
-void require(Comm& comm, bool ok, const std::string& what) {
-  EXPECT_TRUE(ok) << what;
-  if (!ok && comm.world().config().mode == LaunchMode::kProcesses)
-    throw std::runtime_error("rank " + std::to_string(comm.rank()) + ": " +
-                             what);
-}
 
 constexpr std::byte kGapByte{0xA5};
 constexpr std::size_t kGap = 64;

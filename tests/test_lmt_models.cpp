@@ -207,6 +207,21 @@ TEST(Coll, OwnerComputesAllreduceCopiesEachByteOncePerRank) {
   EXPECT_EQ(m.allreduce_coll(true, three, 1000, 2).copy_bytes, 3000u);
 }
 
+TEST(Coll, DirectBcastReadsRootBufferOncePerReader) {
+  // The direct arena bcast copies (n-1)·bytes out of the root's buffer,
+  // helped (split over all n cores, from kCoopMin) or not.
+  std::vector<int> cores{0, 1, 2, 3};
+  LmtModels m(e5345_machine());
+  LmtModels::CollOutcome shm = m.bcast_coll(true, cores, 1 * MiB, 2);
+  EXPECT_EQ(shm.copy_bytes, 3145728u);
+  EXPECT_GT(shm.mibs, m.bcast_coll(false, cores, 1 * MiB, 2).mibs);
+  EXPECT_EQ(m.bcast_coll(true, cores, 64 * KiB, 2).copy_bytes, 196608u);
+  // Odd split: the last core's slice takes the remainder.
+  std::vector<int> three{0, 1, 2};
+  EXPECT_EQ(m.bcast_coll(true, three, 1 * MiB + 1, 2).copy_bytes,
+            2 * (1 * MiB + 1));
+}
+
 TEST(Models, ThroughputPositiveAndFinite) {
   for (Strategy s :
        {Strategy::kDefault, Strategy::kVmsplice, Strategy::kVmspliceWritev,

@@ -17,7 +17,7 @@ namespace {
 TEST(Resil, SiteNamesRoundTripForCrashSites) {
   for (Site s : {Site::kCollDeposit, Site::kCollFold, Site::kBarrierArrive,
                  Site::kCmaRendezvous, Site::kFastboxPut, Site::kLmtCoop,
-                 Site::kCollLine}) {
+                 Site::kCollLine, Site::kCollBcastHelp}) {
     auto back = crash_site_from_string(site_name(s));
     ASSERT_TRUE(back.has_value()) << site_name(s);
     EXPECT_EQ(*back, s);

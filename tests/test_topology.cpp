@@ -40,11 +40,9 @@ TEST(Topology, LargestCacheAndSharers) {
   Topology t = xeon_e5345();
   for (int c = 0; c < 8; ++c) {
     EXPECT_EQ(t.largest_cache(c).size_bytes, 4 * MiB);
-    EXPECT_EQ(t.cores_sharing_largest_cache(c), 2u);
   }
   Topology n = nehalem();
   EXPECT_EQ(n.largest_cache(0).level, 3);
-  EXPECT_EQ(n.cores_sharing_largest_cache(0), 4u);
 }
 
 TEST(Topology, X5460HasSixMiBPairCaches) {
